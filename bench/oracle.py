@@ -16,6 +16,7 @@ DB_TOL = 1.5  # acceptance criterion 7: best sweep match per reference
 MSE_RTOL = 1e-8  # library MSE against the FFT-grid recomputation
 ZERO_TOL = 1e-9  # forced zero, relative to sum|h1|
 GAIN_TOL = 1e-9  # unit DC gain of h0 and unit gain of h1 at pi
+RANK_RTOL = 1e-12  # below this smallest/largest singular value the mate system is numerically singular
 
 # Paper scores (lowpass dB, highpass dB) of the four reference designs.
 PAPER_DB = {
@@ -64,6 +65,24 @@ def check_bank(bank, n: int, m: int) -> str | None:
         if abs(np.polyval(h1[::-1], np.exp(-1j * w))) > bound:
             return f"h1 has no zero at w={w}"
     return None
+
+
+def mate_system_rank_ratio(h0) -> float:
+    """Smallest over largest singular value of the mate system of a 2n+1 tap h0.
+
+    The unknowns are the n independent taps b_0..b_{n-1} of a symmetric 2n-1
+    tap H1; the rows are the odd powers 1, 3, ..., 2n-1 of H0(z) H1(-z), each
+    column recomputed with np.convolve from the unit mate that b_j spans.
+    """
+    h0 = np.asarray(h0, dtype=float)
+    n = (h0.size - 1) // 2
+    cols = []
+    for j in range(n):
+        unit = np.zeros(2 * n - 1)
+        unit[j] = unit[2 * n - 2 - j] = 1.0
+        cols.append(np.convolve(h0, _alt(unit))[1 : 2 * n : 2])
+    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    return float(s[-1] / s[0])
 
 
 def magnitudes(h, grid: int) -> np.ndarray:

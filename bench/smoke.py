@@ -4,9 +4,9 @@
     python3 bench/smoke.py [--seconds S] [--seed N]
 
 Asserts that each run prints every metric of BENCHMARK.json with its unit,
-that the correctness oracle ran and passed, and that paper_sweep, stream and
-cli_roundtrip had no failed op. Then prints every end-to-end metric of all
-four workloads in one table. Exits 1 on the first failed assertion.
+that the correctness oracle ran and passed, and that no op failed. Then
+prints every end-to-end metric of all four workloads in one table. Exits 1
+on the first failed assertion.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import subprocess
 import sys
 
 from run import BENCH, ROOT, WORKLOADS
-
-NO_FAILURES = ("paper_sweep", "stream", "cli_roundtrip")
 
 
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -41,8 +39,7 @@ def check(workload: str, trace: int, info: dict, result: dict, contract: dict) -
     assert info["oracle_checks"] > 0, f"{where}: the correctness oracle did not run"
     assert result["correct"], f"{where}: incorrect output: {info['problems'] + info['details']}"
     assert result["attempted"] >= 1, where
-    if workload in NO_FAILURES:
-        assert result["failed"] == 0, f"{where}: {result['failed']} failed ops {info['causes']}"
+    assert result["failed"] == 0, f"{where}: {result['failed']} failed ops {info['causes']}"
 
 
 def main(argv=None) -> int:

@@ -39,7 +39,8 @@ ROOT = BENCH.parent
 WORK_DIR = BENCH / ".work"
 SPAN_DIR = BENCH / "out"
 
-# Failure causes and the per-layer metric each is reported under.
+# Per-layer metric for each documented exception (share of ops that raised
+# it) and for each other failure cause (share of ops that failed by it).
 CAUSE_METRICS = {
     "SingularSystem": "qmf_core.failed.SingularSystem",
     "DegeneratePassband": "qmf_core.failed.DegeneratePassband",
@@ -50,24 +51,60 @@ CAUSE_METRICS = {
     "cli_exit": "cli.failed",
     "error": "bench.failed.error",
 }
+EXCEPTIONS = ("SingularSystem", "DegeneratePassband", "SingularRefinement", "NoDelayFound")
 WRONG = ("wrong_output", "error")
 
 # The reference box (2 shared vCPUs) changes speed by 20-40 % over seconds:
 # the same design_bank call measured 5.0 ms in one window and 8.8 ms in the
 # next. So a fixed calibration kernel runs just before every op, and op times
-# are reported at the kernel's nominal speed, t * CAL_NOMINAL_S / kernel time.
+# are reported at the kernel's nominal speed, t * nominal / kernel time.
 # Library changes cannot move the kernel; machine speed moves both alike.
-# The kernel mixes the two kinds of work the ops do, dense NumPy arithmetic
-# and interpreter-bound scalar indexing. Over ten seeded 15 s runs of
-# design_long it cut the spread of median op time from 23 % (raw) to 1.5 %.
-# Set-up time is scaled the same way, by the kernel timed just after set-up.
-CAL_NOMINAL_S = 2.0e-3  # round figure; the kernel took 1.5-2.2 ms on the reference box
+# Each workload names the kernel whose work is most like its ops' work:
+# - "mixed": dense NumPy arithmetic, then interpreter-bound scalar indexing.
+#   Over ten seeded 15 s runs of design_long it cut the spread of median op
+#   time from 23 % (raw) to 1.5 %.
+# - "solver": the same scalar indexing, then row elimination on a small
+#   matrix, which is the mate build and solve's kind of work. Over 90 s of
+#   three fixed long designs in a loop, the spread of 100-op medians was
+#   19-22 % raw, 2-4 % with "mixed" and 0.9-1.6 % with "solver".
+# Set-up time is scaled by the "mixed" kernel, timed just after set-up.
 CAL_INPUTS = (
     np.linspace(0.0, np.pi, 1024),
     np.arange(24),
     np.random.default_rng(0).standard_normal(24),
     np.random.default_rng(1).standard_normal(48),
+    np.random.default_rng(3).standard_normal((24, 24)) + 24 * np.eye(24),
 )
+
+
+def _spectrum() -> None:
+    """A dense 24-tap response on 1024 frequencies."""
+    w, k, h, _, _ = CAL_INPUTS
+    np.abs(np.exp(-1j * np.outer(w, k)) @ h)
+
+
+def _fill() -> None:
+    """A 24 x 24 matrix filled one scalar at a time."""
+    a = CAL_INPUTS[3]
+    m = np.zeros((24, 24))
+    for r in range(24):
+        for c in range(24):
+            m[r, c] += a[r + c] * (-1) ** c
+
+
+def _eliminate() -> None:
+    """Forward elimination of a 24 x 24 matrix, one row operation per column."""
+    m = np.array(CAL_INPUTS[4])
+    for col in range(24):
+        factors = m[col + 1 :, col] / m[col, col]
+        m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
+
+
+# kernel name: (parts, nominal seconds, a round figure near its time on the reference box)
+CAL_KERNELS = {
+    "mixed": ((_spectrum, _fill), 2.0e-3),
+    "solver": ((_fill, _eliminate), 0.5e-3),
+}
 
 
 def load_library() -> SimpleNamespace:
@@ -84,16 +121,11 @@ def load_library() -> SimpleNamespace:
     )
 
 
-def calibrate() -> float:
-    """Seconds for the calibration kernel: a dense 24-tap response on 1024
-    frequencies, then a 24 x 24 matrix filled one scalar at a time."""
-    w, k, h, a = CAL_INPUTS
+def calibrate(kernel: str = "mixed") -> float:
+    """Seconds for one run of the named calibration kernel."""
     t0 = perf_counter()
-    np.abs(np.exp(-1j * np.outer(w, k)) @ h)
-    m = np.zeros((24, 24))
-    for r in range(24):
-        for c in range(24):
-            m[r, c] += a[r + c] * (-1) ** c
+    for part in CAL_KERNELS[kernel][0]:
+        part()
     return perf_counter() - t0
 
 
@@ -103,32 +135,38 @@ def run_phase(lib, wl, seconds: float, min_ops: int, limit: int | None = None,
     expected = design_errors(lib)
     times: list[float] = []
     cals: list[float] = []
-    causes: Counter = Counter()
+    causes: Counter = Counter()  # failed ops by cause
+    raised: list[tuple[int, str]] = []  # (op, exception) for every documented raise
     details: list[str] = []
     checks = 0
     start = perf_counter()
     i = 0
     while True:
-        cals.append(calibrate())
+        cals.append(calibrate(wl.calibration))
         t0 = perf_counter()
+        out = exc = cause = None
         try:
             out = tracer.call_op(i, wl.op, i) if tracer else wl.op(i)
-            cause = None
-        except expected as exc:
-            out, cause = None, type(exc).__name__
+        except expected as e:
+            exc = e
         except Exception:
-            out, cause = None, "error"
+            cause = "error"
             details.append(traceback.format_exc())
         t1 = perf_counter()
         times.append(t1 - t0)
         if digests is not None:
-            digests.append(cause or wl.digest(out))
+            digests.append(type(exc).__name__ if exc else cause or wl.digest(out))
+        bad = None
         if out is not None:
             checks += 1
             bad = wl.check(i, out)
-            if bad:
-                cause = bad[0]
-                details.append(f"op {i}: {bad[0]}: {bad[1]}")
+        elif exc is not None:
+            checks += 1
+            raised.append((i, type(exc).__name__))
+            bad = wl.check_raise(i, exc)
+        if bad:
+            cause = bad[0]
+            details.append(f"op {i}: {bad[0]}: {bad[1]}")
         if cause:
             causes[cause] += 1
         i += 1
@@ -136,12 +174,13 @@ def run_phase(lib, wl, seconds: float, min_ops: int, limit: int | None = None,
             break
         if t1 - start >= seconds and i >= min_ops:
             break
-    return {"times": times, "cals": cals, "causes": causes, "details": details, "checks": checks}
+    return {"times": times, "cals": cals, "nominal": CAL_KERNELS[wl.calibration][1],
+            "causes": causes, "raised": raised, "details": details, "checks": checks}
 
 
 def calibrated(phase: dict) -> list[float]:
     """Op times at the calibration kernel's nominal speed."""
-    return [t * CAL_NOMINAL_S / c for t, c in zip(phase["times"], phase["cals"])]
+    return [t * phase["nominal"] / c for t, c in zip(phase["times"], phase["cals"])]
 
 
 def p50_ms(times) -> float:
@@ -202,7 +241,7 @@ def main(argv=None) -> int:
         wl.warmup()
         print("READY", flush=True)
         # Machine speed just after set-up puts setup_s on the ops' scale.
-        speed = CAL_NOMINAL_S / statistics.median(calibrate() for _ in range(5))
+        speed = CAL_KERNELS["mixed"][1] / statistics.median(calibrate() for _ in range(5))
         print(json.dumps({"setup_scale": speed}), flush=True)
         if args.setup_only:
             return 0
@@ -255,17 +294,21 @@ def measure(lib, wl, args) -> dict:
         info["traced_op_mean_ms"] = 1e3 * statistics.fmean(traced["times"])
 
     causes = sum((p["causes"] for p in phases), Counter())
+    raised = Counter(name for p in phases for _, name in p["raised"])
     attempted = sum(len(p["times"]) for p in phases)
     checks = sum(p["checks"] for p in phases)
     if args.trace:
         for cause, name in CAUSE_METRICS.items():
-            metrics[name] = causes.get(cause, 0) / attempted
+            metrics[name] = (raised if cause in EXCEPTIONS else causes).get(cause, 0) / attempted
         metrics["cli.bytes_written"] = getattr(wl, "bytes_written", 0) / max(checks, 1)
     problems += wl.finish()
     details = [d for p in phases for d in p["details"]]
     info.update(
         samples=len(phases[0]["times"]),
         causes=dict(causes),
+        raised=dict(raised),
+        **{f"raised_in_first_{wl.min_ops}": dict(Counter(
+            name for op, name in phases[0]["raised"] if op < wl.min_ops))},
         failed_frac=sum(causes.values()) / attempted,
         oracle_checks=checks,
         problems=problems,
