@@ -15,7 +15,7 @@ from .analysis import (
 )
 from .bank import design_bank
 from .prototype import BandEdges, DesignSpec, WindowSpec, design_h0
-from .qmf_core import DegeneratePassband, SingularSystem, basic_mate, design_pair
+from .qmf_core import DegeneratePassband, SingularSystem, basic_mate
 from .refine import RefinementSpec, SingularRefinement, default_zero_freqs, refine_h1
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "default_zero_freqs",
     "design_bank",
     "design_h0",
-    "design_pair",
     "mse",
     "process_bank",
     "refine_h1",

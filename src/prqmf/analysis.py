@@ -9,7 +9,7 @@ responses against ideal brick-wall targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,9 +19,6 @@ WINDOW_KINDS = ("rectangular", "hamming", "gaussian", "kaiser")
 GAUSSIAN_DEFAULT_ALPHA = 2.5
 KAISER_DEFAULT_BETA = 6.0
 
-# Power-series truncation for the order-zero modified Bessel function.
-_I0_TERM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BandEdges:
@@ -103,19 +100,6 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     ) ** 2
 
 
-def _bessel_i0(x: float) -> float:
-    # I0(x) = sum_k ((x/2)^k / k!)^2, truncated once terms drop below tol.
-    half_sq = (x / 2.0) ** 2
-    term = 1.0
-    total = 1.0
-    k = 1
-    while term >= _I0_TERM_TOL:
-        term *= half_sq / (k * k)
-        total += term
-        k += 1
-    return total
-
-
 def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
     """Symmetric window weights in (0,1] with peak 1 at the center tap."""
     if length < 1 or length % 2 == 0:
@@ -131,8 +115,9 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
         alpha = GAUSSIAN_DEFAULT_ALPHA if spec.param is None else spec.param
         return np.exp(-0.5 * (alpha * x) ** 2)
     beta = KAISER_DEFAULT_BETA if spec.param is None else spec.param
-    i0_beta = _bessel_i0(beta)
-    return np.array([_bessel_i0(beta * math.sqrt(1.0 - xi * xi)) for xi in x]) / i0_beta
+    # The center tap has x = 0, so it holds I0(beta).
+    w = np.i0(beta * np.sqrt(1.0 - x * x))
+    return w / w[mid]
 
 
 def design_h0(spec: DesignSpec) -> np.ndarray:

@@ -3,7 +3,9 @@
 Given a symmetric low-pass H0 with 2n+1 taps, the product
 P(z) = H0(z) H1(-z) must have all odd-power coefficients zero except the
 central one. Folding the symmetry of H1 into the unknowns yields a dense
-n x n system whose solution is the unique (up to scale) 2n-1 tap mate.
+n x n system for the 2n-1 tap mate. The system can be rank-deficient when
+H0(z) and H0(-z) nearly share zeros; LU then picks one solution, and the
+solve residual and the PR certificate decide whether it is accepted.
 """
 
 from __future__ import annotations
@@ -13,20 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, poly
-from .prototype import DesignSpec, design_h0
+from . import poly
 
-# Pivot threshold relative to max|A|; below it the system counts as singular.
-# Kept near machine scale: sharp-window prototypes at n ~ 20 produce genuine
-# pivots down to ~1e-14 that still solve to full residual accuracy. The
-# residual check below is the real singularity gate.
-PIVOT_RTOL = 1e-15
 # Post-solve residual budget relative to the rhs.
 RESIDUAL_RTOL = 1e-9
 
 
 class SingularSystem(Exception):
-    """The mate system has no usable pivot (degenerate prototype)."""
+    """The mate system has no usable solution (degenerate prototype)."""
 
 
 class DegeneratePassband(Exception):
@@ -53,39 +49,30 @@ def build_system(h0) -> DenseSystem:
     if a.size < 3:
         raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
     n = (a.size - 1) // 2
-    mat = np.zeros((n, n))
+    k = np.arange(1, 2 * n, 2)[:, None] - np.arange(2 * n - 1)
+    full = np.where(k >= 0, a[np.maximum(k, 0)], 0.0)
+    full[:, 1::2] *= -1.0
+    mat = full[:, :n].copy()
+    mat[:, : n - 1] += full[:, : n - 1 : -1]
     rhs = np.zeros(n)
-    for row, i in enumerate(range(1, 2 * n, 2)):
-        for j in range(0, min(i, 2 * n - 2) + 1):
-            col = j if j < n else 2 * n - 2 - j
-            mat[row, col] += a[i - j] * (-1) ** j
     rhs[-1] = 1.0
     return DenseSystem(mat, rhs)
 
 
 def solve(system: DenseSystem) -> np.ndarray:
-    """Gaussian elimination with partial pivoting."""
-    a = np.array(system.matrix, dtype=float)
-    b = np.array(system.rhs, dtype=float)
+    """LAPACK LU with partial pivoting, accepted only on a small residual."""
+    a = np.asarray(system.matrix, dtype=float)
+    b = np.asarray(system.rhs, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError("system must be square with a matching rhs")
-    pivot_floor = PIVOT_RTOL * float(np.max(np.abs(a)))
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) <= pivot_floor:
-            raise SingularSystem(f"pivot {a[piv, col]:.3e} below threshold in column {col}")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    residual = float(np.max(np.abs(system.matrix @ x - system.rhs)))
-    if residual > RESIDUAL_RTOL * max(float(np.max(np.abs(system.rhs))), 1e-300):
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    residual = float(np.max(np.abs(a @ x - b)))
+    # Written as `not <=` so that a NaN residual is rejected too.
+    if not residual <= RESIDUAL_RTOL * max(float(np.max(np.abs(b))), 1e-300):
         raise SingularSystem(f"residual {residual:.3e} too large; system is ill-conditioned")
     return x
 
@@ -106,24 +93,9 @@ def normalize_passband(h1) -> np.ndarray:
 
 
 def basic_mate(h0) -> np.ndarray:
-    """The unique passband-normalized 2n-1 tap high-pass mate of h0."""
+    """A passband-normalized 2n-1 tap high-pass mate of h0.
+
+    Where the mate system is rank-deficient the mate is not unique; the
+    caller certifies the pair with analysis.verify_pr.
+    """
     return normalize_passband(unfold(solve(build_system(h0))))
-
-
-def design_pair(spec: DesignSpec) -> "analysis.FilterBank":
-    """Design H0 and its basic mate, certify PR; no refinement applied."""
-    h0 = design_h0(spec)
-    h1 = basic_mate(h0)
-    f0, f1 = analysis.synthesis_filters(h0, h1)
-    report = analysis.verify_pr(h0, h1)
-    return analysis.FilterBank(
-        h0=h0,
-        h1=h1,
-        f0=f0,
-        f1=f1,
-        delay=report.delay,
-        scale=report.scale,
-        max_spurious=report.max_spurious,
-        spec=spec,
-        zero_freqs=(),
-    )

@@ -52,6 +52,12 @@ class TestDesign:
         doc = json.loads(out.read_text())
         assert doc["zero_freqs"] == pytest.approx([0.0, 0.2 * math.pi])
 
+    def test_unreachable_zero_is_degenerate(self, tmp_path, capsys):
+        code, out = design(tmp_path, "--refine", "1", "--zeros", str(math.pi / 2), n=10)
+        assert code == 3
+        assert "SingularRefinement" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wp_without_ws(self, tmp_path):
         code = main(["design", "--n", "4", "--wp", "1.0", "--out", str(tmp_path / "b.json")])
         assert code == 2

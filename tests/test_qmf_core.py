@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prqmf import poly
+from prqmf.analysis import verify_pr
+from prqmf.bank import design_bank
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
 from prqmf.qmf_core import (
     DegeneratePassband,
@@ -12,7 +14,6 @@ from prqmf.qmf_core import (
     SingularSystem,
     basic_mate,
     build_system,
-    design_pair,
     normalize_passband,
     solve,
     unfold,
@@ -132,8 +133,10 @@ class TestSystemProperties:
 
 
 class TestDesignPair:
+    """The unrefined pair: design_bank with m = 0."""
+
     def test_n10_rectangular(self):
-        bank = design_pair(DesignSpec(n=10))
+        bank = design_bank(DesignSpec(n=10, m=0))
         assert bank.delay == 19
         assert bank.max_spurious <= 1e-9
         assert bank.h0.size == 21
@@ -150,4 +153,30 @@ class TestDesignPair:
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
-            design_pair(DesignSpec(n=0))
+            design_bank(DesignSpec(n=0, m=0))
+
+
+# Numerically rank-deficient mate systems (H0(z) and H0(-z) nearly share
+# zeros): LU still yields a mate that passes the PR certificate.
+RANK_DEFICIENT = [
+    (13, "hamming", 0.7265625),
+    (8, "hamming", 0.8979661016949153),
+    (8, "gaussian", 0.8979661016949153),
+    (8, "kaiser", 0.8979661016949153),
+]
+
+
+@pytest.mark.parametrize("n,window,delta", RANK_DEFICIENT)
+class TestRankDeficientSystem:
+    def spec(self, n, window, delta, m=0):
+        return DesignSpec(n=n, edges=BandEdges.symmetric(delta), window=WindowSpec(window), m=m)
+
+    def test_basic_mate_certifies(self, n, window, delta):
+        h0 = design_h0(self.spec(n, window, delta))
+        assert verify_pr(h0, basic_mate(h0)).max_spurious <= 1e-9
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_design_bank_certifies(self, n, window, delta, m):
+        bank = design_bank(self.spec(n, window, delta, m))
+        assert bank.max_spurious <= 1e-9
+        assert bank.h1.size == 2 * n + 4 * m - 1

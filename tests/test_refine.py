@@ -159,6 +159,12 @@ class TestStructure:
         with pytest.raises(SingularRefinement):
             refine_h1(h0, h1, spec)
 
+    def test_unreachable_single_zero_is_singular(self):
+        # (1 + z^-2) H0(z) has zero amplitude at pi/2, so E cannot move it
+        h0, h1 = certified_pair(10)
+        with pytest.raises(SingularRefinement):
+            refine_h1(h0, h1, RefinementSpec(1, (math.pi / 2,)))
+
     def test_wrong_mate_length_rejected(self):
         h0, _ = certified_pair(6)
         with pytest.raises(ValueError):
