@@ -18,6 +18,7 @@ from .prototype import DesignSpec
 
 PR_TOL = 1e-9
 MSE_GRID_SIZE = 1024
+MSE_GRID_MIN = 64
 
 
 class NoDelayFound(Exception):
@@ -134,21 +135,19 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
 def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
     """Mean squared magnitude error against an ideal half-band response.
 
-    Uniform closed grid over [0, pi]; the target is 1 in the passband,
-    0 in the stopband, and 0.5 at the pi/2 cutoff when the grid hits it.
+    Closed grid w_k = k pi / (G - 1), k = 0..G-1 (`poly.grid_response`); the
+    target is 1 in the passband, 0 in the stopband, and 0.5 at the pi/2
+    cutoff, which the grid hits when G is odd (2k = G - 1).
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
+    if grid_size < MSE_GRID_MIN:
+        raise ValueError(f"grid_size must be >= {MSE_GRID_MIN}")
     if ideal not in ("lowpass", "highpass"):
         raise ValueError("ideal must be 'lowpass' or 'highpass'")
-    w = np.linspace(0.0, math.pi, grid_size)
-    mags = np.abs(poly.evaluate(filt, w))
-    half = math.pi / 2
-    if ideal == "lowpass":
-        target = np.where(w < half, 1.0, 0.0)
-    else:
-        target = np.where(w > half, 1.0, 0.0)
-    target[np.isclose(w, half, rtol=0.0, atol=1e-12)] = 0.5
+    mags = np.abs(poly.grid_response(filt, grid_size))
+    twice_k, edge = 2 * np.arange(grid_size), grid_size - 1
+    passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
+    target = np.where(passband, 1.0, 0.0)
+    target[twice_k == edge] = 0.5
     value = float(np.mean((mags - target) ** 2))
     db = -10.0 * math.log10(value) if value > 0.0 else math.inf
     return ResponseMetrics(mse=value, db=db, grid_size=grid_size, ideal=ideal)

@@ -172,13 +172,10 @@ def cmd_response(args) -> int:
     try:
         bank = load_bank(args.path)
         w = np.linspace(0.0, math.pi, args.grid)
-        mag_h0 = np.abs(poly.evaluate(bank.h0, w))
-        mag_h1 = np.abs(poly.evaluate(bank.h1, w))
-        db_h0 = _mag_db(mag_h0)
-        db_h1 = _mag_db(mag_h1)
+        mags = [np.abs(poly.grid_response(h, args.grid)) for h in (bank.h0, bank.h1)]
         with open(args.out, "w") as fh:
             fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
-            for row in zip(w, mag_h0, mag_h1, db_h0, db_h1):
+            for row in zip(w, *mags, *map(_mag_db, mags)):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
     except (BankFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,6 +224,15 @@ def cmd_process(args) -> int:
     return 0 if report.max_rel_error <= PROCESS_TOL else 1
 
 
+def grid_at_least(low: int):
+    """argparse type: an integer grid size of at least `low` points."""
+    def grid(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"grid must be >= {low}, got {text}")
+        return int(text)
+    return grid
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prqmf", description="Perfect-reconstruction QMF filter pair design"
@@ -251,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="export magnitude responses as CSV")
     p.add_argument("path")
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=grid_at_least(2), default=1024, help="points on [0, pi]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_response)
 
     p = sub.add_parser("metrics", help="print MSE metrics against ideal responses")
     p.add_argument("path")
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=grid_at_least(analysis.MSE_GRID_MIN), default=1024)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("process", help="run a CSV signal through the bank")

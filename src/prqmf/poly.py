@@ -35,12 +35,18 @@ def alternate(p) -> np.ndarray:
     return out
 
 
-def evaluate(p, omegas):
-    """Frequency response sum_k p[k] e^{-j w k} at each radian frequency."""
+def grid_response(p, grid_size: int) -> np.ndarray:
+    """Frequency response sum_k p[k] e^{-j w k} on the grid linspace(0, pi, grid_size).
+
+    That is the real FFT of length 2(G-1), since the DFT samples the DTFT. Taps
+    past one period are folded onto it, not truncated: e^{-j w k} is
+    2(G-1)-periodic in k on this grid, so the values stay exact at any length.
+    """
     p = as_poly(p)
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    k = np.arange(p.size)
-    return np.exp(-1j * np.outer(w, k)) @ p
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    period = 2 * (grid_size - 1)
+    return np.fft.rfft(np.bincount(np.arange(p.size) % period, weights=p), period)
 
 
 def is_symmetric(p, rtol: float = SYMMETRY_RTOL) -> bool:
@@ -64,7 +70,7 @@ def require_symmetric(p, name: str = "filter") -> np.ndarray:
 def amplitude(p, omegas, center: int | None = None):
     """Zero-phase amplitude A(w) about `center` (default: array midpoint).
 
-    For p symmetric about `center`, evaluate(p, w) = e^{-j w center} A(w),
+    For p symmetric about `center`, the response is e^{-j w center} A(w),
     so A is real and carries the sign information the magnitude loses.
     """
     p = as_poly(p)

@@ -65,21 +65,9 @@ def build_e(free) -> np.ndarray:
     if m < 1:
         raise ValueError("refinement needs at least one coefficient")
     e = np.zeros(4 * m - 1)
-    for j, c in enumerate(free):
-        e[2 * j] = c
-        e[4 * m - 2 - 2 * j] = c
+    e[: 2 * m : 2] = free
+    e[2 * m :: 2] = free[::-1]
     return e
-
-
-def _correction_terms(h0: np.ndarray, m: int) -> list[np.ndarray]:
-    # G_j = (z^(-2j) + z^(-(4m-2-2j))) H0(z), length 2n+4m-1.
-    terms = []
-    for j in range(m):
-        basis = np.zeros(4 * m - 1)
-        basis[2 * j] += 1.0
-        basis[4 * m - 2 - 2 * j] += 1.0
-        terms.append(np.convolve(basis, h0))
-    return terms
 
 
 def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
@@ -98,7 +86,8 @@ def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     center = n + 2 * m - 1
     shifted = np.zeros(total)
     shifted[2 * m : 2 * m + h1.size] = h1
-    terms = _correction_terms(h0, m)
+    # G_j = (z^(-2j) + z^(-(4m-2-2j))) H0(z), length 2n+4m-1.
+    terms = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
     mat = np.empty((m, m))
     rhs = np.empty(m)
     for q, w in enumerate(spec.zero_freqs):

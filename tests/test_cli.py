@@ -16,6 +16,13 @@ def design(tmp_path, *extra, n=6):
     return code, out
 
 
+def assert_grid_usage_error(err: str, floor: str):
+    """argparse usage line, then one error line naming --grid; no traceback."""
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert "error: argument --grid" in last and floor in last
+
+
 class TestDesign:
     def test_basic_design(self, tmp_path, capsys):
         code, out = design(tmp_path, "--window", "rect", "--refine", "1", n=10)
@@ -119,6 +126,30 @@ class TestResponse:
         _, bankfile = design(tmp_path)
         assert main(["response", str(bankfile), "--out", str(tmp_path / "no/dir.csv")]) == 3
 
+    def test_odd_grid_matches_fft_magnitudes(self, tmp_path):
+        _, bankfile = design(tmp_path, n=10)
+        csv = tmp_path / "resp.csv"
+        assert main(["response", str(bankfile), "--grid", "65", "--out", str(csv)]) == 0
+        rows = np.array(
+            [[float(v) for v in r.split(",")] for r in csv.read_text().strip().splitlines()[1:]]
+        )
+        bank = load_bank(str(bankfile))
+        assert rows.shape == (65, 5)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, math.pi, 65))
+        for col, h in ((1, bank.h0), (2, bank.h1)):
+            fft_mag = np.abs(np.fft.rfft(h, 128))
+            assert np.allclose(rows[:, col], fft_mag, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("grid", ["-5", "0", "1"])
+    def test_grid_below_two_is_usage_error(self, tmp_path, capsys, grid):
+        _, bankfile = design(tmp_path)
+        csv = tmp_path / "resp.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["response", str(bankfile), "--grid", grid, "--out", str(csv)])
+        assert exc.value.code == 2
+        assert_grid_usage_error(capsys.readouterr().err, ">= 2")
+        assert not csv.exists()
+
 
 class TestMetrics:
     def test_designed_bank_in_reported_band(self, tmp_path, capsys):
@@ -140,6 +171,15 @@ class TestMetrics:
         assert main(["metrics", str(path)]) == 0
         low = capsys.readouterr().out.splitlines()[0]
         assert float(low.split("mse=")[1].split()[0]) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("grid", ["10", "-5", "0", "1"])
+    def test_grid_below_mse_floor_is_usage_error(self, tmp_path, capsys, grid):
+        _, bankfile = design(tmp_path)
+        capsys.readouterr()  # discard the design summary line
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", str(bankfile), "--grid", grid])
+        assert exc.value.code == 2
+        assert_grid_usage_error(capsys.readouterr().err, ">= 64")
 
     def test_infinite_db_printed_as_inf(self, tmp_path, capsys, monkeypatch):
         _, bankfile = design(tmp_path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prqmf import poly
 
@@ -65,15 +66,45 @@ class TestAlternate:
 
 
 class TestEvaluate:
+    """Responses on the closed grid linspace(0, pi, G), through poly.grid_response."""
+
     def test_constant(self):
-        vals = poly.evaluate([1.0], [0.0, 1.0, math.pi])
+        vals = poly.grid_response([1.0], 3)  # w = 0, pi/2, pi
         assert np.allclose(vals, 1.0 + 0.0j)
 
     def test_dc_sum(self):
-        assert abs(poly.evaluate([0.5, 0.5], 0.0)[0]) == pytest.approx(1.0)
+        assert abs(poly.grid_response([0.5, 0.5], 2)[0]) == pytest.approx(1.0)
 
     def test_alternating_sum(self):
-        assert abs(poly.evaluate([0.5, 0.5], math.pi)[0]) == pytest.approx(0.0, abs=1e-15)
+        assert abs(poly.grid_response([0.5, 0.5], 2)[-1]) == pytest.approx(0.0, abs=1e-15)
+
+
+@st.composite
+def grid_cases(draw):
+    """A grid size G >= 2 and a filter of 1..3 periods of 2(G-1) taps."""
+    grid_size = draw(st.integers(2, 129))
+    length = draw(st.integers(1, 3 * 2 * (grid_size - 1)))
+    return draw(arrays(float, length, elements=coeffs)), grid_size
+
+
+class TestGridResponse:
+    @given(grid_cases())
+    def test_matches_direct_sum(self, case):
+        p, grid_size = case
+        w = np.linspace(0.0, math.pi, grid_size)
+        direct = np.exp(-1j * np.outer(w, np.arange(p.size))) @ p
+        got = poly.grid_response(p, grid_size)
+        assert got.shape == (grid_size,)
+        assert np.allclose(got, direct, rtol=0, atol=1e-12 * (1 + np.abs(p).sum()))
+
+    def test_taps_past_one_period_are_folded(self):
+        # G = 2 has period 2: H(0) sums every tap, H(pi) alternates them
+        assert np.array_equal(poly.grid_response(np.ones(5), 2), [5.0, 1.0])
+
+    @pytest.mark.parametrize("grid_size", [1, 0, -5])
+    def test_grid_needs_both_endpoints(self, grid_size):
+        with pytest.raises(ValueError):
+            poly.grid_response([1.0], grid_size)
 
 
 class TestAmplitude:
@@ -90,11 +121,11 @@ class TestAmplitude:
         with pytest.raises(ValueError):
             poly.amplitude([1.0, 1.0], 0.5)
 
-    @given(symmetric_firs(), st.integers(0, 63))
-    def test_matches_evaluate_magnitude(self, p, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(0.0, math.pi, 64)
-        mag = np.abs(poly.evaluate(p, w))
+    @given(symmetric_firs(), st.integers(2, 129))
+    def test_matches_evaluate_magnitude(self, p, grid_size):
+        # |A(w)| equals the magnitude of the grid response on every grid point
+        w = np.linspace(0.0, math.pi, grid_size)
+        mag = np.abs(poly.grid_response(p, grid_size))
         amp = np.abs(poly.amplitude(p, w))
         assert np.allclose(mag, amp, rtol=0, atol=1e-12 * (1 + np.abs(p).sum()))
 
