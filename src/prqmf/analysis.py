@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import poly
-from .prototype import DesignSpec
+from .prototype import MSE_GRID_MIN, DesignSpec
 
 PR_TOL = 1e-9
 MSE_GRID_SIZE = 1024
-MSE_GRID_MIN = 64
 
 
 class NoDelayFound(Exception):
@@ -39,17 +39,43 @@ class PrReport:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Certified analysis/synthesis quadruple with its delay and scale."""
+    """A bank is its analysis pair (h0, h1). The synthesis pair is derived by
+    `synthesis_filters`; delay, scale and max_spurious come from one PR
+    certificate, computed on first read (NoDelayFound if T(z) vanishes)."""
 
     h0: np.ndarray
     h1: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
-    delay: int
-    scale: float
-    max_spurious: float = 0.0
     spec: DesignSpec | None = None
     zero_freqs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "h0", poly.as_poly(self.h0))
+        object.__setattr__(self, "h1", poly.as_poly(self.h1))
+        object.__setattr__(self, "zero_freqs", tuple(float(w) for w in self.zero_freqs))
+
+    @property
+    def f0(self) -> np.ndarray:
+        return synthesis_filters(self.h0, self.h1)[0]
+
+    @property
+    def f1(self) -> np.ndarray:
+        return synthesis_filters(self.h0, self.h1)[1]
+
+    @cached_property
+    def certificate(self) -> PrReport:
+        return verify_pr(self.h0, self.h1)
+
+    @property
+    def delay(self) -> int:
+        return self.certificate.delay
+
+    @property
+    def scale(self) -> float:
+        return self.certificate.scale
+
+    @property
+    def max_spurious(self) -> float:
+        return self.certificate.max_spurious
 
 
 @dataclass(frozen=True)
@@ -114,14 +140,15 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-D sequence")
+    d, c = bank.delay, bank.scale
+    f0, f1 = synthesis_filters(bank.h0, bank.h1)
     v0 = np.convolve(bank.h0, x)[::2]
     v1 = np.convolve(bank.h1, x)[::2]
-    y0 = np.convolve(bank.f0, _upsample2(v0))
-    y1 = np.convolve(bank.f1, _upsample2(v1))
+    y0 = np.convolve(f0, _upsample2(v0))
+    y1 = np.convolve(f1, _upsample2(v1))
     y = np.zeros(max(y0.size, y1.size))
     y[: y0.size] += y0
     y[: y1.size] += y1
-    d, c = bank.delay, bank.scale
     lo, hi = d, x.size - d
     if lo < hi:
         peak = float(np.max(np.abs(x)))

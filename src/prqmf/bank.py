@@ -9,26 +9,13 @@ from .refine import RefinementSpec, default_zero_freqs, refine_h1
 
 
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
-    """Prototype, solve for the mate, refine (if m > 0), certify, assemble."""
+    """Prototype, solve for the mate, refine (if m > 0), assemble, certify."""
     h0 = design_h0(spec)
     h1 = basic_mate(h0)
     zero_freqs: tuple[float, ...] = ()
     if spec.m >= 1:
-        if spec.zero_freqs is not None:
-            zero_freqs = spec.zero_freqs
-        else:
-            zero_freqs = default_zero_freqs(spec.m, spec.edges)
+        zero_freqs = spec.zero_freqs or default_zero_freqs(spec.m, spec.edges)
         h1 = refine_h1(h0, h1, RefinementSpec(spec.m, zero_freqs))
-    f0, f1 = analysis.synthesis_filters(h0, h1)
-    report = analysis.verify_pr(h0, h1)
-    return analysis.FilterBank(
-        h0=h0,
-        h1=h1,
-        f0=f0,
-        f1=f1,
-        delay=report.delay,
-        scale=report.scale,
-        max_spurious=report.max_spurious,
-        spec=spec,
-        zero_freqs=zero_freqs,
-    )
+    bank = analysis.FilterBank(h0, h1, spec, zero_freqs)
+    bank.certificate  # certify here, so NoDelayFound is raised by the design
+    return bank

@@ -4,7 +4,7 @@ Subcommands: design a bank to JSON, verify a stored bank, export magnitude
 responses as CSV, print MSE metrics, and run a signal through the bank.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 I/O / format / degenerate-design error.
+3 I/O / format / degenerate-design error (one table, `EXIT_CODES`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .qmf_core import DegeneratePassband, SingularSystem
 from .refine import SingularRefinement
 
 FORMAT_VERSION = 1
-VERIFY_TOL = 1e-9
 PROCESS_TOL = 1e-8
 DB_FLOOR = -160.0
 
@@ -39,7 +38,13 @@ class BankFileError(Exception):
     """Bank file is unreadable, malformed, or has the wrong version."""
 
 
+class SignalFileError(Exception):
+    """Signal file holds a sample that is not a finite number."""
+
+
 def bank_to_dict(bank: analysis.FilterBank) -> dict:
+    """Format 1. f0, f1, delay and scale are derived from h0 and h1; they are
+    written for outside readers and ignored by `load_bank`."""
     spec = bank.spec
     return {
         "format_version": FORMAT_VERSION,
@@ -64,11 +69,12 @@ def save_bank(bank: analysis.FilterBank, path: str) -> None:
 
 
 def load_bank(path: str) -> analysis.FilterBank:
+    """The bank is rebuilt from h0 and h1 alone; the stored derived fields are not read."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         if doc["format_version"] != FORMAT_VERSION:
-            raise BankFileError(f"unsupported format_version {doc['format_version']!r}")
+            raise ValueError(f"unsupported format_version {doc['format_version']!r}")
         spec = None
         if doc.get("edges") and doc.get("window"):
             spec = DesignSpec(
@@ -77,19 +83,12 @@ def load_bank(path: str) -> analysis.FilterBank:
                 window=WindowSpec(doc["window"]["kind"], doc["window"]["param"]),
                 m=int(doc["m"]),
             )
-        return analysis.FilterBank(
-            h0=np.asarray(doc["h0"], dtype=float),
-            h1=np.asarray(doc["h1"], dtype=float),
-            f0=np.asarray(doc["f0"], dtype=float),
-            f1=np.asarray(doc["f1"], dtype=float),
-            delay=int(doc["delay"]),
-            scale=float(doc["scale"]),
-            spec=spec,
-            zero_freqs=tuple(doc.get("zero_freqs", ())),
-        )
-    except BankFileError:
-        raise
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        fields = {"h0": doc["h0"], "h1": doc["h1"], "zero_freqs": doc.get("zero_freqs", [])}
+        for key, value in fields.items():
+            if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+                raise ValueError(f"{key} must be a list of numbers")
+        return analysis.FilterBank(spec=spec, **fields)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise BankFileError(f"cannot load bank file {path}: {exc}") from exc
 
 
@@ -99,69 +98,48 @@ def _mag_db(mag: np.ndarray) -> np.ndarray:
 
 
 def _read_signal(path: str) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if lines:
+    """One sample per line; a first line that is not a number is a header."""
+    with open(path, "rb") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    for header in (0, 1):
         try:
-            float(lines[0])
+            x = np.array([float(ln) for ln in lines[header:]])
         except ValueError:
-            lines = lines[1:]  # header row
-    return np.array([float(ln) for ln in lines])
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+        break
+    raise SignalFileError(f"signal {path} has a sample that is not a finite number")
 
 
 def cmd_design(args) -> int:
-    try:
-        delta = args.delta * math.pi
-        if args.wp is not None or args.ws is not None:
-            if args.wp is None or args.ws is None:
-                print("error: --wp and --ws must be given together", file=sys.stderr)
-                return 2
-            edges = BandEdges(args.wp, args.ws)
-        else:
-            edges = BandEdges.symmetric(delta)
-        zeros = None
-        if args.zeros is not None:
-            zeros = tuple(float(tok) for tok in args.zeros.split(","))
-        spec = DesignSpec(
-            n=args.n,
-            edges=edges,
-            window=WindowSpec(WINDOW_ALIASES[args.window], args.window_param),
-            m=args.refine,
-            zero_freqs=zeros,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        bank = design_bank(spec)
-    except (SingularSystem, DegeneratePassband, SingularRefinement) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    try:
-        save_bank(bank, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if (args.wp is None) != (args.ws is None):
+        raise ValueError("--wp and --ws must be given together")
+    if args.wp is not None:
+        edges = BandEdges(args.wp, args.ws)
+    else:
+        edges = BandEdges.symmetric(args.delta * math.pi)
+    zeros = None if args.zeros is None else [float(tok) for tok in args.zeros.split(",")]
+    spec = DesignSpec(
+        n=args.n,
+        edges=edges,
+        window=WindowSpec(WINDOW_ALIASES[args.window], args.window_param),
+        m=args.refine,
+        zero_freqs=zeros,
+    )
+    bank = design_bank(spec)
+    save_bank(bank, args.out)
     low = analysis.mse(bank.h0, "lowpass", spec.grid_size)
     high = analysis.mse(bank.h1, "highpass", spec.grid_size)
     print(
         f"delay={bank.delay} scale={bank.scale!r} max_spurious={bank.max_spurious:.3e} "
         f"lowpass_db={low.db:.4f} highpass_db={high.db:.4f}"
     )
-    return 0 if bank.max_spurious <= VERIFY_TOL else 1
+    return 0 if bank.certificate.passed else 1
 
 
 def cmd_verify(args) -> int:
-    try:
-        bank = load_bank(args.path)
-        report = analysis.verify_pr(bank.h0, bank.h1, VERIFY_TOL)
-    except BankFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except analysis.NoDelayFound as exc:
-        print(f"NoDelayFound: {exc}", file=sys.stderr)
-        return 1
+    report = load_bank(args.path).certificate
     print(
         f"delay={report.delay} scale={report.scale!r} max_spurious={report.max_spurious:.3e}"
     )
@@ -169,27 +147,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_response(args) -> int:
-    try:
-        bank = load_bank(args.path)
-        w = np.linspace(0.0, math.pi, args.grid)
-        mags = [np.abs(poly.grid_response(h, args.grid)) for h in (bank.h0, bank.h1)]
-        with open(args.out, "w") as fh:
-            fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
-            for row in zip(w, *mags, *map(_mag_db, mags)):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    except (BankFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    bank = load_bank(args.path)
+    w = np.linspace(0.0, math.pi, args.grid)
+    mags = [np.abs(poly.grid_response(h, args.grid)) for h in (bank.h0, bank.h1)]
+    with open(args.out, "w") as fh:
+        fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
+        for row in zip(w, *mags, *map(_mag_db, mags)):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     print(f"wrote {args.grid} rows to {args.out}")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    try:
-        bank = load_bank(args.path)
-    except BankFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    bank = load_bank(args.path)
     low = analysis.mse(bank.h0, "lowpass", args.grid)
     high = analysis.mse(bank.h1, "highpass", args.grid)
     print(f"lowpass mse={low.mse!r} db={low.db}")
@@ -198,26 +168,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_process(args) -> int:
-    try:
-        bank = load_bank(args.path)
-        x = _read_signal(args.infile)
-    except BankFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read signal: {exc}", file=sys.stderr)
-        return 3
-    if x.size == 0:
-        print("error: empty signal", file=sys.stderr)
-        return 2
-    report = analysis.process_bank(bank, x)
-    try:
-        with open(args.out, "w") as fh:
-            for v in report.y:
-                fh.write(repr(float(v)) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    bank = load_bank(args.path)
+    report = analysis.process_bank(bank, _read_signal(args.infile))
+    with open(args.out, "w") as fh:
+        for v in report.y:
+            fh.write(repr(float(v)) + "\n")
     print(
         f"max_rel_error={report.max_rel_error!r} delay={report.delay} scale={report.scale!r}"
     )
@@ -275,9 +230,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code for each error a command can end with; no two entries overlap.
+EXIT_CODES = {
+    analysis.NoDelayFound: 1,
+    ValueError: 2,
+    BankFileError: 3,
+    SignalFileError: 3,
+    OSError: 3,
+    SingularSystem: 3,
+    DegeneratePassband: 3,
+    SingularRefinement: 3,
+}
+
+
 def main(argv=None) -> int:
+    """Run one command; an error it ends with becomes one stderr line and its exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

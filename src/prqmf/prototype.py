@@ -18,6 +18,8 @@ WINDOW_KINDS = ("rectangular", "hamming", "gaussian", "kaiser")
 
 GAUSSIAN_DEFAULT_ALPHA = 2.5
 KAISER_DEFAULT_BETA = 6.0
+# Smallest frequency grid a design is scored on (`analysis.mse`).
+MSE_GRID_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ class DesignSpec:
 
     n is the half-order: the low-pass gets 2n+1 taps and its basic
     high-pass mate 2n-1. m is the refinement order (0 disables it).
-    zero_freqs overrides the default stop-band zero placement.
+    zero_freqs overrides the default stop-band zero placement and must
+    hold exactly m frequencies.
     """
 
     n: int
@@ -77,10 +80,14 @@ class DesignSpec:
             raise ValueError("half-order n must be >= 1")
         if self.m < 0:
             raise ValueError("refinement order m must be >= 0")
-        if self.grid_size < 64:
-            raise ValueError("grid_size must be >= 64")
+        if self.grid_size < MSE_GRID_MIN:
+            raise ValueError(f"grid_size must be >= {MSE_GRID_MIN}")
         if self.zero_freqs is not None:
             object.__setattr__(self, "zero_freqs", tuple(float(w) for w in self.zero_freqs))
+            if len(self.zero_freqs) != self.m:
+                raise ValueError(
+                    f"need exactly m={self.m} zero frequencies, got {len(self.zero_freqs)}"
+                )
 
 
 def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:

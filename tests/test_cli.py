@@ -1,19 +1,43 @@
+import io
 import json
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prqmf import analysis
 from prqmf.bank import design_bank
 from prqmf.cli import bank_to_dict, load_bank, main, save_bank
 from prqmf.prototype import DesignSpec
 
+# h0 all zero: metrics scores it, but it is no PR bank (T(z) = 0).
+ZERO_BANK_DOC = {
+    "format_version": 1, "n": 1, "m": 0, "edges": None, "window": None,
+    "h0": [0.0, 0.0, 0.0], "h1": [1.0], "f0": [1.0], "f1": [0.0, 0.0, 0.0],
+    "delay": 1, "scale": 1.0, "zero_freqs": [],
+}
+
 
 def design(tmp_path, *extra, n=6):
     out = tmp_path / "bank.json"
     code = main(["design", "--n", str(n), "--out", str(out), *extra])
     return code, out
+
+
+def assert_one_error_line(err: str, kind: str):
+    """The central exit-code table's report: exactly one `Type: message` line."""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{kind}: ")
+
+
+def write_signal(path, samples, header=False):
+    lines = (["sample"] if header else []) + [repr(float(v)) for v in samples]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def assert_grid_usage_error(err: str, floor: str):
@@ -68,6 +92,20 @@ class TestDesign:
     def test_wp_without_ws(self, tmp_path):
         code = main(["design", "--n", "4", "--wp", "1.0", "--out", str(tmp_path / "b.json")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--refine", "0", "--zeros", "0.5"),  # zeros given but no refinement
+            ("--refine", "1", "--zeros", "0,1"),  # two zeros for m = 1
+            ("--refine", "1", "--zeros", "4"),  # outside [0, pi)
+        ],
+    )
+    def test_bad_zeros_are_usage_errors(self, tmp_path, capsys, extra):
+        code, out = design(tmp_path, *extra)
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "ValueError")
+        assert not out.exists()
 
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -161,13 +199,8 @@ class TestMetrics:
         assert lines[1].startswith("highpass mse=")
 
     def test_all_zero_filter_fixture(self, tmp_path, capsys):
-        doc = {
-            "format_version": 1, "n": 1, "m": 0, "edges": None, "window": None,
-            "h0": [0.0, 0.0, 0.0], "h1": [1.0], "f0": [1.0], "f1": [0.0, 0.0, 0.0],
-            "delay": 1, "scale": 1.0, "zero_freqs": [],
-        }
         path = tmp_path / "zero.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(ZERO_BANK_DOC))
         assert main(["metrics", str(path)]) == 0
         low = capsys.readouterr().out.splitlines()[0]
         assert float(low.split("mse=")[1].split()[0]) == pytest.approx(0.5, abs=1e-12)
@@ -190,14 +223,10 @@ class TestMetrics:
 
 
 class TestProcess:
-    def write_signal(self, path, samples, header=False):
-        lines = (["sample"] if header else []) + [repr(float(v)) for v in samples]
-        path.write_text("\n".join(lines) + "\n")
-
     def test_impulse_yields_transfer(self, tmp_path):
         _, bankfile = design(tmp_path, n=6)
         sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
-        self.write_signal(sig, [1.0])
+        write_signal(sig, [1.0])
         main(["process", str(bankfile), "--in", str(sig), "--out", str(out)])
         y = np.array([float(v) for v in out.read_text().split()])
         bank = load_bank(str(bankfile))
@@ -208,7 +237,7 @@ class TestProcess:
         _, bankfile = design(tmp_path, n=10)
         sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
         x = np.random.default_rng(5).uniform(-1, 1, 4096)
-        self.write_signal(sig, x, header=True)
+        write_signal(sig, x, header=True)
         assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
         err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
         assert err <= 1e-9
@@ -218,6 +247,23 @@ class TestProcess:
         sig = tmp_path / "empty.csv"
         sig.write_text("")
         assert main(["process", str(bankfile), "--in", str(sig), "--out", str(tmp_path / "y.csv")]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "abc"])
+    def test_bad_sample_is_file_error(self, tmp_path, capsys, bad):
+        _, bankfile = design(tmp_path)
+        sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
+        sig.write_text(f"sample\n0.5\n{bad}\n-0.25\n")
+        capsys.readouterr()  # discard the design summary line
+        assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 3
+        assert_one_error_line(capsys.readouterr().err, "SignalFileError")
+        assert not out.exists()
+
+    def test_all_zero_bank_fails_verification(self, tmp_path, capsys):
+        path, sig = tmp_path / "zero.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(ZERO_BANK_DOC))
+        write_signal(sig, np.ones(16))
+        assert main(["process", str(path), "--in", str(sig), "--out", str(tmp_path / "y.csv")]) == 1
+        assert_one_error_line(capsys.readouterr().err, "NoDelayFound")
 
     def test_missing_signal_file(self, tmp_path):
         _, bankfile = design(tmp_path)
@@ -249,3 +295,163 @@ class TestBankFile:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 3
+
+
+# Per command, the arguments after the bank file; `process` reads x.csv.
+COMMAND_ARGS = {
+    "verify": [],
+    "metrics": [],
+    "response": ["--out", "resp.csv"],
+    "process": ["--in", "x.csv", "--out", "y.csv"],
+}
+
+
+def run_on_doc(workdir, doc, command):
+    """Write `doc` as the bank file, run one command on it; (rc, stderr)."""
+    (workdir / "bank.json").write_text(json.dumps(doc))
+    if not (workdir / "x.csv").exists():
+        write_signal(workdir / "x.csv", np.random.default_rng(3).uniform(-1, 1, 256))
+    argv = [command, str(workdir / "bank.json")]
+    argv += [str(workdir / a) if a.endswith(".csv") else a for a in COMMAND_ARGS[command]]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@cache
+def pristine_json(m: int) -> str:
+    return json.dumps(bank_to_dict(design_bank(DesignSpec(n=4, m=m))))
+
+
+class TestDerivedFields:
+    """f0, f1, delay and scale in a bank file are written for readers and ignored on load."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(f0=[1.01 * v for v in d["f0"]]),
+            lambda d: d.update(delay=3),
+            lambda d: d.update(scale=2.0 * d["scale"], f1=[]),
+            lambda d: [d.pop(k) for k in ("f0", "f1", "delay", "scale")],
+        ],
+        ids=["f0x1.01", "delay3", "scale-f1", "dropped"],
+    )
+    def test_verify_and_process_agree(self, tmp_path, capsys, edit):
+        bank = design_bank(DesignSpec(n=10))
+        doc = bank_to_dict(bank)
+        edit(doc)
+        path, sig, out = tmp_path / "bank.json", tmp_path / "x.csv", tmp_path / "y.csv"
+        path.write_text(json.dumps(doc))
+        write_signal(sig, np.random.default_rng(7).uniform(-1, 1, 4096))
+        assert main(["verify", str(path)]) == 0
+        assert main(["process", str(path), "--in", str(sig), "--out", str(out)]) == 0
+        err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
+        assert err <= 1e-8
+        loaded = load_bank(str(path))
+        assert (loaded.delay, loaded.scale) == (bank.delay, bank.scale)
+        assert np.array_equal(loaded.f0, bank.f0) and np.array_equal(loaded.f1, bank.f1)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    @pytest.mark.parametrize("h0", [[0.25, math.nan, 0.25], [0.25, math.inf, 0.25], []])
+    def test_bad_h0_is_file_error(self, tmp_path, command, h0):
+        doc = bank_to_dict(design_bank(DesignSpec(n=4)))
+        doc["h0"] = h0
+        rc, err = run_on_doc(tmp_path, doc, command)
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+
+
+# Short strings that include numeric ones ("1", "-0.5"), which are still no taps.
+TEXT = st.text("01.-ae", max_size=4)
+# Values of another JSON type than a list of numbers.
+NOT_TAPS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    TEXT,
+    st.dictionaries(TEXT, st.integers(), max_size=2),
+    st.lists(st.one_of(st.none(), TEXT, st.booleans()), min_size=1, max_size=3),
+    st.lists(st.lists(st.floats(-1, 1), min_size=1, max_size=2), min_size=1, max_size=2),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def damaged_bank_docs(draw):
+    """(doc, must_fail, same_as_pristine) for one damaged field of a designed bank."""
+    doc = json.loads(pristine_json(draw(st.integers(0, 2))))
+    key = draw(st.sampled_from(sorted(doc) + [None]))
+    if key is None:  # the document itself is not an object
+        return draw(st.one_of(st.lists(st.integers(), max_size=2), TEXT, st.none())), True, False
+    how = draw(st.sampled_from(["drop", "retype", "non-finite", "empty"]))
+    if how == "drop":
+        del doc[key]
+    elif how == "retype":
+        doc[key] = draw(NOT_TAPS.filter(lambda v: v != doc[key]))
+    elif how == "empty":
+        doc[key] = draw(st.sampled_from([[], {}, ""]))
+    elif isinstance(doc[key], list) and doc[key]:
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(NON_FINITE)
+    else:
+        doc[key] = draw(NON_FINITE)
+    # The bank is format_version, h0 and h1: damage there must fail the load, and
+    # so must zero_freqs that are no list of numbers. f0, f1, delay and scale are
+    # derived: damage there must change nothing.
+    must_fail = key in ("format_version", "h0", "h1") or (key == "zero_freqs" and how == "retype")
+    return doc, must_fail, key in ("f0", "f1", "delay", "scale")
+
+
+# One bad value each, in --flag=value form so that argparse reads a negative
+# number as a value, not as a flag. Every case is a usage error (rc 2).
+BAD_DESIGN_ARGS = st.one_of(
+    st.integers(-5, 0).map(lambda n: [f"--n={n}"]),
+    st.sampled_from(["x", "1.5", ""]).map(lambda n: [f"--n={n}"]),
+    st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5)).map(lambda d: [f"--delta={d!r}"]),
+    st.floats(0.1, 3.0).map(lambda wp: [f"--wp={wp!r}"]),
+    st.floats(0.1, 3.0).map(lambda wp: [f"--wp={wp!r}", f"--ws={wp / 2!r}"]),
+    st.integers(-5, -1).map(lambda m: [f"--refine={m}"]),
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=4).map(
+        lambda zs: ["--refine=1", "--zeros=" + ",".join(map(repr, zs))]
+    ),
+    st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=math.pi), st.just(math.nan)).map(
+        lambda z: ["--refine=1", f"--zeros={z!r}"]
+    ),
+    st.sampled_from(["", "a", "0,,1", "0;1"]).map(lambda z: ["--refine=2", f"--zeros={z}"]),
+    st.floats(max_value=-1e-9).map(lambda p: ["--window=kaiser", f"--window-param={p!r}"]),
+    st.floats(max_value=0.0).map(lambda p: ["--window=gauss", f"--window-param={p!r}"]),
+    st.sampled_from([["--window=bogus"], ["--refine=x"], ["--bogus"]]),
+)
+
+
+class TestMalformedInput:
+    @given(case=damaged_bank_docs(), command=st.sampled_from(sorted(COMMAND_ARGS)))
+    def test_damaged_bank_file(self, tmp_path_factory, case, command):
+        doc, must_fail, same_as_pristine = case
+        workdir = tmp_path_factory.mktemp("damaged")
+        rc, err = run_on_doc(workdir, doc, command)
+        assert "Traceback" not in err
+        if must_fail:
+            assert rc == 3
+            assert_one_error_line(err, "BankFileError")
+        elif same_as_pristine:
+            pristine = json.loads(pristine_json(doc["m"]))
+            assert (rc, err) == run_on_doc(workdir, pristine, command)
+        else:  # spec metadata: either ignored or a format error
+            assert rc in (0, 3)
+            assert rc == 0 or re.fullmatch(r"BankFileError: .*\n", err)
+
+    @given(extra=BAD_DESIGN_ARGS)
+    def test_bad_design_arguments(self, tmp_path_factory, extra):
+        out = tmp_path_factory.mktemp("args") / "bank.json"
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            try:
+                rc = main(["design", "--n=6", *extra, f"--out={out}"])
+            except SystemExit as exc:  # argparse rejects the value itself
+                rc = exc.code
+        assert rc == 2
+        assert "Traceback" not in err.getvalue()
+        if not err.getvalue().startswith("usage:"):
+            assert_one_error_line(err.getvalue(), "ValueError")
+        assert not out.exists()
