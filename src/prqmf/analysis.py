@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,27 +97,28 @@ class ProcessReport:
 
 
 def transfer(h0, h1) -> np.ndarray:
-    """T(z) = 0.5 [H0(z) H1(-z) - H1(z) H0(-z)].
+    """T(z) = 0.5 [H0(z) H1(-z) - H1(z) H0(-z)], the odd part of P(z) = H0(z) H1(-z).
 
-    Even-power coefficients cancel identically; a perfect-reconstruction
-    pair leaves a single nonzero odd-power coefficient.
+    The second product is P(-z), so even-power coefficients are exactly zero; a
+    perfect-reconstruction pair leaves a single nonzero odd-power coefficient.
     """
-    return 0.5 * (
-        poly.multiply(h0, poly.alternate(h1)) - poly.multiply(h1, poly.alternate(h0))
-    )
+    t = np.convolve(poly.as_poly(h0), poly.alternate(h1))
+    t[::2] = 0.0
+    return t
 
 
 def verify_pr(h0, h1, tol: float = PR_TOL) -> PrReport:
     """Locate the delay term of T(z) and measure everything else against it."""
     t = transfer(h0, h1)
-    idx = int(np.argmax(np.abs(t)))
+    mags = np.abs(t)
+    idx = int(np.argmax(mags))
     c = float(t[idx])
-    floor = 1e-12 * float(np.max(np.abs(poly.as_poly(h0))) * np.max(np.abs(poly.as_poly(h1))))
+    # transfer has validated both filters
+    floor = 1e-12 * float(np.max(np.abs(h0)) * np.max(np.abs(h1)))
     if abs(c) <= floor:
         raise NoDelayFound("transfer function is numerically zero")
-    rest = np.delete(np.abs(t), idx)
-    max_spurious = float(rest.max() / abs(c)) if rest.size else 0.0
-    return PrReport(delay=idx, scale=c, max_spurious=max_spurious, tol=tol)
+    mags[idx] = 0.0
+    return PrReport(delay=idx, scale=c, max_spurious=float(mags.max()) / abs(c), tol=tol)
 
 
 def synthesis_filters(h0, h1) -> tuple[np.ndarray, np.ndarray]:
@@ -170,14 +171,20 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
         raise ValueError(f"grid_size must be >= {MSE_GRID_MIN}")
     if ideal not in ("lowpass", "highpass"):
         raise ValueError("ideal must be 'lowpass' or 'highpass'")
-    mags = np.abs(poly.grid_response(filt, grid_size))
-    twice_k, edge = 2 * np.arange(grid_size), grid_size - 1
-    passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
-    target = np.where(passband, 1.0, 0.0)
-    target[twice_k == edge] = 0.5
-    value = float(np.mean((mags - target) ** 2))
+    err = np.abs(poly.grid_response(filt, grid_size)) - _brick_wall(grid_size, ideal)
+    value = float(err @ err) / grid_size
     db = -10.0 * math.log10(value) if value > 0.0 else math.inf
     return ResponseMetrics(mse=value, db=db, grid_size=grid_size, ideal=ideal)
+
+
+@lru_cache(maxsize=8)
+def _brick_wall(grid_size: int, ideal: str) -> np.ndarray:
+    """The read-only `mse` target on the closed grid of `grid_size` points."""
+    twice_k, edge = 2 * np.arange(grid_size), grid_size - 1
+    passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
+    target = passband + 0.5 * (twice_k == edge)
+    target.flags.writeable = False
+    return target
 
 
 def validate_case_a(h0, h1) -> tuple[bool, list[str]]:
@@ -188,13 +195,13 @@ def validate_case_a(h0, h1) -> tuple[bool, list[str]]:
     a diagnostic, not a contract violation.
     """
     reasons: list[str] = []
+    h0, h1 = poly.as_poly(h0), poly.as_poly(h1)
     for name, f in (("h0", h0), ("h1", h1)):
-        f = poly.as_poly(f)
         if f.size % 2 == 0:
             reasons.append(f"{name} has even length {f.size}")
-        elif not poly.is_symmetric(f):
+        elif not poly._symmetric(f):
             reasons.append(f"{name} is not mirror-symmetric")
-    diff = abs(poly.as_poly(h1).size - poly.as_poly(h0).size)
+    diff = abs(h1.size - h0.size)
     if diff % 4 != 2:
         reasons.append(f"length difference {diff} is not an odd multiple of 2")
     return (not reasons), reasons

@@ -73,15 +73,18 @@ def load_bank(path: str) -> analysis.FilterBank:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        for key in ("format_version", "n", "m"):  # JSON true == 1, int("7") == 7
+            if type(doc[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         if doc["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc['format_version']!r}")
         spec = None
         if doc.get("edges") and doc.get("window"):
             spec = DesignSpec(
-                n=int(doc["n"]),
+                n=doc["n"],
                 edges=BandEdges(doc["edges"]["wp"], doc["edges"]["ws"]),
                 window=WindowSpec(doc["window"]["kind"], doc["window"]["param"]),
-                m=int(doc["m"]),
+                m=doc["m"],
             )
         fields = {"h0": doc["h0"], "h1": doc["h1"], "zero_freqs": doc.get("zero_freqs", [])}
         for key, value in fields.items():

@@ -2,7 +2,8 @@
 
 A polynomial is a 1-D float array whose index k holds the coefficient of
 z^(-k). All filters in this package (analysis, synthesis, products,
-transfer functions) live in this representation.
+transfer functions) live in this representation. Public functions validate
+their input through `as_poly`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def as_poly(coeffs) -> np.ndarray:
     p = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if p.ndim != 1 or p.size < 1:
         raise ValueError("polynomial needs at least one coefficient")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("polynomial coefficients must be finite")
     return p
 
@@ -46,23 +47,24 @@ def grid_response(p, grid_size: int) -> np.ndarray:
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     period = 2 * (grid_size - 1)
-    return np.fft.rfft(np.bincount(np.arange(p.size) % period, weights=p), period)
+    if p.size > period:
+        p = np.bincount(np.arange(p.size) % period, weights=p)
+    return np.fft.rfft(p, period)
 
 
-def is_symmetric(p, rtol: float = SYMMETRY_RTOL) -> bool:
+def is_symmetric(p) -> bool:
     """True for odd-length mirror-symmetric coefficient sequences."""
-    p = as_poly(p)
-    if p.size % 2 == 0:
-        return False
-    scale = float(np.max(np.abs(p)))
-    if scale == 0.0:
-        return True
-    return bool(np.max(np.abs(p - p[::-1])) <= rtol * scale)
+    return _symmetric(as_poly(p))
+
+
+def _symmetric(p: np.ndarray) -> bool:
+    """is_symmetric on an array a public entry point has already validated."""
+    return p.size % 2 == 1 and bool(np.abs(p - p[::-1]).max() <= SYMMETRY_RTOL * np.abs(p).max())
 
 
 def require_symmetric(p, name: str = "filter") -> np.ndarray:
     p = as_poly(p)
-    if not is_symmetric(p):
+    if not _symmetric(p):
         raise ValueError(f"{name} must have odd length and mirror symmetry")
     return p
 

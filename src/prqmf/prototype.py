@@ -52,10 +52,12 @@ class WindowSpec:
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown window {self.kind!r}; choose from {WINDOW_KINDS}")
         if self.param is not None:
-            if self.kind == "gaussian" and self.param <= 0:
-                raise ValueError("gaussian width alpha must be positive")
-            if self.kind == "kaiser" and self.param < 0:
-                raise ValueError("kaiser beta must be nonnegative")
+            if self.kind in ("rectangular", "hamming"):
+                raise ValueError(f"the {self.kind} window takes no parameter, got {self.param}")
+            if self.kind == "gaussian" and not 0 < self.param < math.inf:
+                raise ValueError(f"gaussian width alpha must be finite and > 0, got {self.param}")
+            if self.kind == "kaiser" and not 0 <= self.param < math.inf:
+                raise ValueError(f"kaiser beta must be finite and >= 0, got {self.param}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ solve residual and the PR certificate decide whether it is accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ class DegeneratePassband(Exception):
 
 @dataclass(frozen=True)
 class DenseSystem:
-    """Square system on the n independent taps b_0..b_{n-1} of the mate."""
+    """A square system matrix @ x = rhs (the mate's taps, or the refinement's E)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -60,20 +59,20 @@ def build_system(h0) -> DenseSystem:
 
 
 def solve(system: DenseSystem) -> np.ndarray:
-    """LAPACK LU with partial pivoting, accepted only on a small residual."""
+    """LAPACK LU with partial pivoting, accepted only on a small residual in every rhs column."""
     a = np.asarray(system.matrix, dtype=float)
     b = np.asarray(system.rhs, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
+    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("system must be square with a matching rhs")
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    residual = float(np.max(np.abs(a @ x - b)))
+    residual = np.abs(a @ x - b).max(axis=0)
     # Written as `not <=` so that a NaN residual is rejected too.
-    if not residual <= RESIDUAL_RTOL * max(float(np.max(np.abs(b))), 1e-300):
-        raise SingularSystem(f"residual {residual:.3e} too large; system is ill-conditioned")
+    if not np.all(residual <= RESIDUAL_RTOL * np.maximum(np.abs(b).max(axis=0), 1e-300)):
+        raise SingularSystem(f"residual {residual.max():.3e} too large; system is ill-conditioned")
     return x
 
 
@@ -84,9 +83,10 @@ def unfold(b) -> np.ndarray:
 
 
 def normalize_passband(h1) -> np.ndarray:
-    """Scale a symmetric filter so its amplitude at w = pi is exactly +1."""
-    h1 = poly.require_symmetric(h1, "h1")
-    gain = float(poly.amplitude(h1, math.pi))
+    """Scale a symmetric filter so its amplitude at w = pi, the alternating sum of
+    h1[k] (-1)^(k - c) about the centre c, is exactly +1. Its callers build h1; it is not checked."""
+    h1 = np.asarray(h1, dtype=float)
+    gain = float(h1[::2].sum() - h1[1::2].sum()) * (-1) ** (h1.size // 2)
     if abs(gain) < 1e-9:
         raise DegeneratePassband(f"|A(pi)| = {abs(gain):.3e}; mate is not high-pass")
     return h1 / gain

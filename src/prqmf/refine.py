@@ -73,35 +73,34 @@ def build_e(free) -> np.ndarray:
 def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     """Free coefficients of E forcing amplitude zeros at spec.zero_freqs.
 
-    Amplitudes are taken about the shared symmetry center n+2m-1 of both
-    terms of the refined filter, so the equations are real.
+    Both terms of the refined filter are symmetric about n+2m-1, so its amplitude
+    is A1(w) + A0(w) sum_j c_j 2 cos((2m-1-2j) w), A0 and A1 taken about the
+    centres of h0 and h1: mat = diag(A0(w_q)) C with C[q, j] = 2 cos((2m-1-2j) w_q).
     """
     h0 = poly.require_symmetric(h0, "h0")
     h1 = poly.require_symmetric(h1, "h1")
-    n = (h0.size - 1) // 2
-    if h1.size != 2 * n - 1:
+    if h1.size != h0.size - 2:
         raise ValueError("h1 must be the 2n-1 tap mate of h0")
-    m = spec.m
-    total = 2 * n + 4 * m - 1
-    center = n + 2 * m - 1
-    shifted = np.zeros(total)
-    shifted[2 * m : 2 * m + h1.size] = h1
-    # G_j = (z^(-2j) + z^(-(4m-2-2j))) H0(z), length 2n+4m-1.
-    terms = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
-    mat = np.empty((m, m))
-    rhs = np.empty(m)
-    for q, w in enumerate(spec.zero_freqs):
-        rhs[q] = -float(poly.amplitude(shifted, w, center=center))
-        for j, g in enumerate(terms):
-            mat[q, j] = float(poly.amplitude(g, w, center=center))
-    # Coincident or unreachable zeros give a consistent singular system that
-    # LU solves to a small residual, so gate on conditioning first.
-    if np.linalg.norm(mat, 1) / np.linalg.cond(mat, 1) <= SINGULAR_RTOL * np.abs(h0).sum():
-        raise SingularRefinement("singular zero-forcing system: coincident or unreachable zeros")
+    n, m = h0.size // 2, spec.m
+    # cos(k w) for k = -n..n; h1's taps sit at k = -(n-1)..n-1 about its centre.
+    cos_k = np.cos(np.multiply.outer(spec.zero_freqs, np.arange(-n, n + 1)))
+    a0 = cos_k @ h0
+    cos = 2.0 * np.cos(np.multiply.outer(spec.zero_freqs, np.arange(2 * m - 1, 0, -2)))
+    mat = a0[:, None] * cos
+    rhs = -(cos_k[:, 1:-1] @ h1)
+    # Coincident or unreachable zeros give a consistent singular system that LU
+    # solves to a small residual, so gate on 1/||mat^-1||_1, from the same LU.
     try:
-        return solve(DenseSystem(mat, rhs))
-    except SingularSystem as exc:
-        raise SingularRefinement(str(exc)) from exc
+        sol = solve(DenseSystem(mat, np.column_stack((rhs, np.eye(m)))))
+        inv_norm = float(np.abs(sol[:, 1:]).sum(axis=0).max())
+    except SingularSystem:
+        inv_norm = math.inf
+    if not 1.0 / inv_norm > SINGULAR_RTOL * np.abs(h0).sum():
+        raise SingularRefinement(
+            f"singular zero-forcing system: min |A0(w_q)| = {np.abs(a0).min():.3e}, cond(C) = "
+            f"{np.linalg.cond(cos):.3e}, min singular value of C = {np.linalg.norm(cos, -2):.3e}"
+        )
+    return sol[:, 0]
 
 
 def refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarray:
@@ -110,10 +109,7 @@ def refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarra
     normalize=False skips the passband renormalization and returns the raw
     z^(-2m) H1 + E H0 sum, useful for closed-form cross-checks.
     """
-    h0 = poly.require_symmetric(h0, "h0")
-    h1 = poly.require_symmetric(h1, "h1")
-    free = solve_correction(h0, h1, spec)
-    m = spec.m
+    free = solve_correction(h0, h1, spec)  # checks h0 and h1
     refined = np.convolve(build_e(free), h0)
-    refined[2 * m : 2 * m + h1.size] += h1
+    refined[2 * spec.m : 2 * spec.m + np.size(h1)] += h1
     return normalize_passband(refined) if normalize else refined

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prqmf
 from prqmf import poly
 from prqmf.analysis import (
     NoDelayFound,
@@ -34,6 +38,35 @@ class TestTransfer:
             h0 = np.concatenate([p, p[-2::-1]])
             h1 = np.concatenate([q, q[-2::-1]])
             assert not np.any(transfer(h0, h1)[0::2])
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_one_product_matches_two_products(self, len0, extra, seed):
+        # no symmetry, unequal lengths: T = 0.5 [H0(z) H1(-z) - H1(z) H0(-z)]
+        rng = np.random.default_rng(seed)
+        h0, h1 = rng.uniform(-2, 2, len0), rng.uniform(-2, 2, len0 + extra)
+        alt0 = h0 * (-1.0) ** np.arange(h0.size)
+        alt1 = h1 * (-1.0) ** np.arange(h1.size)
+        want = 0.5 * (np.convolve(h0, alt1) - np.convolve(h1, alt0))
+        got = transfer(h0, h1)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert not np.any(got[0::2])
+
+
+def test_design_leaves_numpy_fft_unloaded():
+    # the mse target cache and the FFT grid must not load numpy.fft at import
+    # or design time; it costs every CLI start that does not score
+    code = (
+        "import sys, prqmf\n"
+        "prqmf.design_bank(prqmf.DesignSpec(n=10, m=2))\n"
+        "print('numpy.fft' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prqmf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestVerifyPr:

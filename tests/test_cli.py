@@ -107,6 +107,14 @@ class TestDesign:
         assert_one_error_line(capsys.readouterr().err, "ValueError")
         assert not out.exists()
 
+    def test_non_finite_window_param_is_usage_error(self, tmp_path, capsys):
+        code, out = design(tmp_path, "--window", "kaiser", "--window-param", "nan")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert "kaiser beta must be finite" in err
+        assert not out.exists()
+
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["design", "--n", "not-an-int", "--out", str(tmp_path / "b.json")])
@@ -295,6 +303,18 @@ class TestBankFile:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "key, value", [("format_version", True), ("n", "7"), ("m", "1")]
+    )
+    def test_integer_fields_are_strict(self, tmp_path, capsys, key, value):
+        # JSON true equals 1 and int("7") is 7; neither is an integer field
+        doc = json.loads(pristine_json(1))
+        doc[key] = value
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert f"{key} must be an integer" in err
 
 
 # Per command, the arguments after the bank file; `process` reads x.csv.

@@ -110,6 +110,18 @@ class TestWindows:
         with pytest.raises(ValueError):
             WindowSpec("kaiser", -0.1)
 
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming"])
+    def test_param_of_parameterless_window_rejected(self, kind):
+        # it used to be ignored without a word
+        with pytest.raises(ValueError, match=f"the {kind} window takes no parameter"):
+            WindowSpec(kind, 3.0)
+
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, name", [("gaussian", "alpha"), ("kaiser", "beta")])
+    def test_non_finite_param_names_the_parameter(self, kind, name, param):
+        with pytest.raises(ValueError, match=f"{kind} .*{name} must be finite"):
+            WindowSpec(kind, param)
+
 
 class TestDesignSpec:
     def test_rejects_bad_fields(self):

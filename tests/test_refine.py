@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from prqmf import poly
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
-from prqmf.qmf_core import basic_mate
+from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate
 from prqmf.analysis import transfer, verify_pr
 from prqmf.refine import (
+    SINGULAR_RTOL,
     RefinementSpec,
     SingularRefinement,
     build_e,
@@ -153,7 +154,65 @@ class TestStructure:
         with pytest.raises(SingularRefinement):
             refine_h1(h0, h1, RefinementSpec(1, (math.pi / 2,)))
 
+    def test_singular_message_names_both_factors(self):
+        # mat = diag(A0(w)) C; at pi/2 the cosine column 2 cos(w) vanishes
+        h0, h1 = certified_pair(10)
+        with pytest.raises(SingularRefinement) as exc:
+            solve_correction(h0, h1, RefinementSpec(1, (math.pi / 2,)))
+        msg = str(exc.value)
+        a0 = abs(float(poly.amplitude(h0, math.pi / 2)))
+        assert f"min |A0(w_q)| = {a0:.3e}" in msg
+        assert "cond(C) = " in msg
+        assert f"min singular value of C = {2 * math.cos(math.pi / 2):.3e}" in msg
+
     def test_wrong_mate_length_rejected(self):
         h0, _ = certified_pair(6)
         with pytest.raises(ValueError):
             refine_h1(h0, np.array([1.0, 2.0, 1.0]), RefinementSpec(1, (0.0,)))
+
+
+def convolution_system(h0, h1, spec):
+    """The zero-forcing system built term by term: column j is the amplitude
+    of (z^(-2j) + z^(-(4m-2-2j))) H0(z), and the rhs that of z^(-2m) H1(z),
+    all about the shared centre n+2m-1 of the refined filter."""
+    n, m = (h0.size - 1) // 2, spec.m
+    center = n + 2 * m - 1
+    shifted = np.zeros(2 * n + 4 * m - 1)
+    shifted[2 * m : 2 * m + h1.size] = h1
+    w = np.array(spec.zero_freqs)
+    cols = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
+    mat = np.column_stack([poly.amplitude(g, w, center=center) for g in cols])
+    return mat, -poly.amplitude(shifted, w, center=center)
+
+
+WINDOWS = [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]
+
+
+class TestClosedFormSystem:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        m=st.integers(1, 3),
+        window=st.sampled_from(WINDOWS),
+        center=st.sampled_from([0.5 * math.pi, 0.5625 * math.pi]),
+        delta=st.floats(0.05 * math.pi, 0.15 * math.pi),
+    )
+    def test_matches_convolution_system(self, n, m, window, center, delta):
+        edges = BandEdges(center - delta, center + delta)
+        h0 = design_h0(DesignSpec(n=n, edges=edges, window=window))
+        try:
+            h1 = basic_mate(h0)
+        except (SingularSystem, DegeneratePassband):
+            return  # no mate to refine
+        spec = RefinementSpec(m, default_zero_freqs(m, edges))
+        mat, rhs = convolution_system(h0, h1, spec)
+        inv_norm = np.linalg.cond(mat, 1) / np.linalg.norm(mat, 1)
+        singular = 1.0 / inv_norm <= SINGULAR_RTOL * np.abs(h0).sum()
+        try:
+            free = solve_correction(h0, h1, spec)
+        except SingularRefinement:
+            assert singular
+            return
+        assert not singular
+        want = np.linalg.solve(mat, rhs)
+        assert np.abs(free - want).max() <= 1e-12 * np.abs(want).max()
