@@ -199,7 +199,7 @@ def validate_case_a(h0, h1) -> tuple[bool, list[str]]:
     for name, f in (("h0", h0), ("h1", h1)):
         if f.size % 2 == 0:
             reasons.append(f"{name} has even length {f.size}")
-        elif not poly._symmetric(f):
+        elif not poly.is_symmetric(f):
             reasons.append(f"{name} is not mirror-symmetric")
     diff = abs(h1.size - h0.size)
     if diff % 4 != 2:
