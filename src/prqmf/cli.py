@@ -172,10 +172,15 @@ def cmd_metrics(args) -> int:
 
 def cmd_process(args) -> int:
     bank = load_bank(args.path)
-    report = analysis.process_bank(bank, _read_signal(args.infile))
+    x = _read_signal(args.infile)
+    report = analysis.process_bank(bank, x)
     with open(args.out, "w") as fh:
         for v in report.y:
             fh.write(repr(float(v)) + "\n")
+    # No steady state to score (max_rel_error is NaN), but y is written all the same.
+    steady = 2 * report.delay + 1
+    if x.size < steady:
+        raise ValueError(f"signal has {x.size} samples, fewer than 2*delay + 1 = {steady}")
     print(
         f"max_rel_error={report.max_rel_error!r} delay={report.delay} scale={report.scale!r}"
     )

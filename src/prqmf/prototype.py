@@ -18,6 +18,8 @@ WINDOW_KINDS = ("rectangular", "hamming", "gaussian", "kaiser")
 
 GAUSSIAN_DEFAULT_ALPHA = 2.5
 KAISER_DEFAULT_BETA = 6.0
+# np.i0(beta) computes exp(beta), which overflows above log(DBL_MAX) = 709.78.
+KAISER_BETA_MAX = float(np.log(np.finfo(float).max))
 # Smallest frequency grid a design is scored on (`analysis.mse`).
 MSE_GRID_MIN = 64
 
@@ -56,8 +58,10 @@ class WindowSpec:
                 raise ValueError(f"the {self.kind} window takes no parameter, got {self.param}")
             if self.kind == "gaussian" and not 0 < self.param < math.inf:
                 raise ValueError(f"gaussian width alpha must be finite and > 0, got {self.param}")
-            if self.kind == "kaiser" and not 0 <= self.param < math.inf:
-                raise ValueError(f"kaiser beta must be finite and >= 0, got {self.param}")
+            if self.kind == "kaiser" and not 0 <= self.param <= KAISER_BETA_MAX:
+                raise ValueError(
+                    f"kaiser beta must be finite in [0, {KAISER_BETA_MAX:.2f}], got {self.param}"
+                )
 
 
 @dataclass(frozen=True)

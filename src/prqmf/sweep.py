@@ -63,8 +63,8 @@ class SweepPoint:
     def worst_err(self) -> float:
         return max(self.lowpass_err, self.highpass_err)
 
-    def within(self, tol: float = DB_TOL) -> bool:
-        return self.worst_err <= tol
+    def within(self) -> bool:
+        return self.worst_err <= DB_TOL
 
 
 def run_sweep(grid_size: int = 1024) -> dict[str, list[SweepPoint]]:
@@ -73,14 +73,11 @@ def run_sweep(grid_size: int = 1024) -> dict[str, list[SweepPoint]]:
         points = []
         for center in CENTERS:
             for delta in DELTAS:
-                wp = (center - delta) * math.pi
-                ws = (center + delta) * math.pi
-                if not (0.0 < wp < ws < math.pi):
-                    continue
+                edges = BandEdges((center - delta) * math.pi, (center + delta) * math.pi)
                 for param in ref.params:
                     spec = DesignSpec(
                         n=ref.n,
-                        edges=BandEdges(wp, ws),
+                        edges=edges,
                         window=WindowSpec(ref.window, param),
                         m=ref.m,
                         grid_size=grid_size,

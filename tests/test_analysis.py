@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import prqmf
 from prqmf import poly
 from prqmf.analysis import (
+    FilterBank,
     NoDelayFound,
     mse,
     process_bank,
@@ -139,6 +140,25 @@ class TestProcessBank:
         report = process_bank(bank10, x)
         d, c = bank10.delay, bank10.scale
         assert np.allclose(report.y[2 * d : 1024], c * x[d : 1024 - d], atol=1e-9)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_decimate_then_expand(self, len0, extra, size, seed):
+        # any pair, not only PR ones; x of odd and even length
+        rng = np.random.default_rng(seed)
+        h0, h1 = rng.uniform(-2, 2, len0), rng.uniform(-2, 2, len0 + extra)
+        x = rng.uniform(-1, 1, size)
+        y = process_bank(FilterBank(h0, h1), x).y
+        assert y.size == x.size + h0.size + h1.size - 2
+        f0, f1 = synthesis_filters(h0, h1)
+        want = np.zeros(y.size + 1)
+        for h, f in ((h0, f0), (h1, f1)):
+            v = np.convolve(h, x)[::2]
+            u = np.zeros(2 * v.size)
+            u[::2] = v
+            branch = np.convolve(f, u)
+            want[: branch.size] += branch
+        assert not np.any(want[y.size :])
+        assert np.abs(y - want[: y.size]).max() <= 1e-12 * (1 + np.abs(y).max())
 
     def test_empty_rejected(self, bank10):
         with pytest.raises(ValueError):

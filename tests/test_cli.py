@@ -108,12 +108,14 @@ class TestDesign:
         assert not out.exists()
 
     def test_non_finite_window_param_is_usage_error(self, tmp_path, capsys):
-        code, out = design(tmp_path, "--window", "kaiser", "--window-param", "nan")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err, "ValueError")
-        assert "kaiser beta must be finite" in err
-        assert not out.exists()
+        # np.i0 overflows for a kaiser beta above 709.78
+        for param in ("nan", "710", "1000"):
+            code, out = design(tmp_path, "--window", "kaiser", "--window-param", param)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert_one_error_line(err, "ValueError")
+            assert "kaiser beta must be finite" in err
+            assert not out.exists()
 
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -249,6 +251,21 @@ class TestProcess:
         assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
         err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
         assert err <= 1e-9
+
+    @pytest.mark.parametrize("samples", [1, 42])
+    def test_signal_without_steady_state_is_usage_error(self, tmp_path, capsys, samples):
+        # n = 10: delay 21, so a steady state needs 2 * 21 + 1 = 43 samples
+        _, bankfile = design(tmp_path, n=10)
+        sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_signal(sig, np.ones(samples))
+        capsys.readouterr()  # discard the design summary line
+        assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert f"signal has {samples} samples" in err and "= 43" in err
+        assert len(out.read_text().split()) == samples + 21 + 23 - 2
+        write_signal(sig, np.ones(43))
+        assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
 
     def test_empty_signal(self, tmp_path):
         _, bankfile = design(tmp_path)
