@@ -155,8 +155,8 @@ def cmd_response(args) -> int:
     mags = [np.abs(poly.grid_response(h, args.grid)) for h in (bank.h0, bank.h1)]
     with open(args.out, "w") as fh:
         fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
-        for row in zip(w, *mags, *map(_mag_db, mags)):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in zip(*(col.tolist() for col in (w, *mags, *map(_mag_db, mags)))):
+            fh.write(",".join(map(repr, row)) + "\n")
     print(f"wrote {args.grid} rows to {args.out}")
     return 0
 
@@ -175,8 +175,7 @@ def cmd_process(args) -> int:
     x = _read_signal(args.infile)
     report = analysis.process_bank(bank, x)
     with open(args.out, "w") as fh:
-        for v in report.y:
-            fh.write(repr(float(v)) + "\n")
+        fh.write("\n".join(map(repr, report.y.tolist())) + "\n")
     # No steady state to score (max_rel_error is NaN), but y is written all the same.
     steady = 2 * report.delay + 1
     if x.size < steady:

@@ -164,6 +164,65 @@ class TestProcessBank:
         with pytest.raises(ValueError):
             process_bank(bank10, [])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(1, 12), (200, 400), (500, 700)]),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_decimate_then_expand(self, lengths, data, seed):
+        # Block rule: size is a power of two >= 2048 and > 2 * tail + 2; the
+        # hop is size - tail rounded down to even; a batch has 2**17 // size
+        # blocks. The long pairs have tail > 1023, so size grows past 2048.
+        rng = np.random.default_rng(seed)
+        len0 = data.draw(st.integers(*lengths))
+        h0, h1 = rng.uniform(-2, 2, len0), rng.uniform(-2, 2, len0 + data.draw(st.integers(*lengths)))
+        tail = h0.size + h1.size - 2
+        size = max(2048, 1 << (2 * tail + 2).bit_length())
+        hop, rows = (size - tail) & ~1, 2**17 // size
+        blocks = data.draw(st.sampled_from([1, 2, 3, rows, rows + 1]))
+        x = rng.uniform(-1, 1, max(1, blocks * hop + data.draw(st.integers(-1, 1))))
+        y = process_bank(FilterBank(h0, h1), x).y
+        assert y.size == x.size + tail
+        f0, f1 = synthesis_filters(h0, h1)
+        want = np.zeros(y.size + 1)
+        for h, f in ((h0, f0), (h1, f1)):
+            v = np.convolve(h, x)[::2]
+            u = np.zeros(2 * v.size)
+            u[::2] = v
+            branch = np.convolve(f, u)
+            want[: branch.size] += branch
+        assert np.abs(y - want[: y.size]).max() <= 1e-12 * (1 + np.abs(y).max())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DesignSpec(n=10, window=WindowSpec("hamming"), m=1),
+            DesignSpec(n=40, window=WindowSpec("kaiser"), m=2),
+        ],
+        ids=["n10-hamming-m1", "n40-kaiser-m2"],
+    )
+    def test_stream_banks_match_direct_convolution(self, spec):
+        # 2**17 + 1 samples: odd length, more than one batch of blocks
+        bank = design_bank(spec)
+        x = np.random.default_rng(17).standard_normal(2**17 + 1)
+        report = process_bank(bank, x)
+        f0, f1 = synthesis_filters(bank.h0, bank.h1)
+        s0, s1 = np.convolve(bank.h0, x), np.convolve(bank.h1, x)
+        s0[1::2] = s1[1::2] = 0.0
+        want = np.convolve(f0, s0) + np.convolve(f1, s1)
+        assert report.y.shape == want.shape
+        assert np.abs(report.y - want).max() <= 1e-14 * np.abs(want).max()
+        assert report.max_rel_error <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 150, -1])
+    def test_non_finite_sample_rejected(self, bank10, bad, at):
+        x = np.ones(301)
+        x[at] = bad
+        with pytest.raises(ValueError, match="signal"):
+            process_bank(bank10, x)
+
 
 class TestMse:
     def test_all_zero_filter_vs_lowpass(self):

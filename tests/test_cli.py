@@ -252,6 +252,15 @@ class TestProcess:
         err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
         assert err <= 1e-9
 
+    def test_y_csv_reads_back_exactly(self, tmp_path):
+        _, bankfile = design(tmp_path, n=10)
+        sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
+        x = np.random.default_rng(6).standard_normal(5001)
+        write_signal(sig, x)
+        assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
+        y = np.array([float(v) for v in out.read_text().split()])
+        assert np.array_equal(y, analysis.process_bank(load_bank(str(bankfile)), x).y)
+
     @pytest.mark.parametrize("samples", [1, 42])
     def test_signal_without_steady_state_is_usage_error(self, tmp_path, capsys, samples):
         # n = 10: delay 21, so a steady state needs 2 * 21 + 1 = 43 samples
