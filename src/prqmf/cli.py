@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,6 +47,7 @@ def bank_to_dict(bank: analysis.FilterBank) -> dict:
     """Format 1. f0, f1, delay and scale are derived from h0 and h1; they are
     written for outside readers and ignored by `load_bank`."""
     spec = bank.spec
+    f0, f1 = analysis.synthesis_filters(bank.h0, bank.h1)
     return {
         "format_version": FORMAT_VERSION,
         "n": spec.n if spec else (len(bank.h0) - 1) // 2,
@@ -54,8 +56,8 @@ def bank_to_dict(bank: analysis.FilterBank) -> dict:
         "window": {"kind": spec.window.kind, "param": spec.window.param} if spec else None,
         "h0": bank.h0.tolist(),
         "h1": bank.h1.tolist(),
-        "f0": bank.f0.tolist(),
-        "f1": bank.f1.tolist(),
+        "f0": f0.tolist(),
+        "f1": f1.tolist(),
         "delay": bank.delay,
         "scale": bank.scale,
         "zero_freqs": list(bank.zero_freqs),
@@ -64,8 +66,7 @@ def bank_to_dict(bank: analysis.FilterBank) -> dict:
 
 def save_bank(bank: analysis.FilterBank, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(bank_to_dict(bank), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(bank_to_dict(bank), indent=2) + "\n")
 
 
 def load_bank(path: str) -> analysis.FilterBank:
@@ -101,9 +102,9 @@ def _mag_db(mag: np.ndarray) -> np.ndarray:
 
 
 def _read_signal(path: str) -> np.ndarray:
-    """One sample per line; a first line that is not a number is a header."""
+    """One sample per line (LF or CRLF); a first line that is not a number is a header."""
     with open(path, "rb") as fh:
-        lines = [ln for ln in fh if ln.strip()]
+        lines = [ln for ln in fh.read().split(b"\n") if ln.strip()]
     for header in (0, 1):
         try:
             x = np.array([float(ln) for ln in lines[header:]])
@@ -153,10 +154,10 @@ def cmd_response(args) -> int:
     bank = load_bank(args.path)
     w = np.linspace(0.0, math.pi, args.grid)
     mags = [np.abs(poly.grid_response(h, args.grid)) for h in (bank.h0, bank.h1)]
+    cols = (map(repr, col.tolist()) for col in (w, *mags, *map(_mag_db, mags)))
+    rows = "\n".join(map(",".join, zip(*cols)))
     with open(args.out, "w") as fh:
-        fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
-        for row in zip(*(col.tolist() for col in (w, *mags, *map(_mag_db, mags)))):
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n" + rows + "\n")
     print(f"wrote {args.grid} rows to {args.out}")
     return 0
 
@@ -195,6 +196,7 @@ def grid_at_least(low: int):
     return grid
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prqmf", description="Perfect-reconstruction QMF filter pair design"
@@ -211,28 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=1, metavar="M", help="refinement order (0 = off)")
     p.add_argument("--zeros", help="comma-separated zero frequencies in radians")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("verify", help="re-certify a stored bank")
     p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("response", help="export magnitude responses as CSV")
     p.add_argument("path")
     p.add_argument("--grid", type=grid_at_least(2), default=1024, help="points on [0, pi]")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_response)
 
     p = sub.add_parser("metrics", help="print MSE metrics against ideal responses")
     p.add_argument("path")
     p.add_argument("--grid", type=grid_at_least(analysis.MSE_GRID_MIN), default=1024)
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("process", help="run a CSV signal through the bank")
     p.add_argument("path")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_process)
 
     return parser
 
@@ -253,8 +250,11 @@ EXIT_CODES = {
 def main(argv=None) -> int:
     """Run one command; an error it ends with becomes one stderr line and its exit code."""
     args = build_parser().parse_args(argv)
+    # Looked up per call, not stored in the cached parser, so a rebound cmd_* runs.
+    commands = {"design": cmd_design, "verify": cmd_verify, "response": cmd_response,
+                "metrics": cmd_metrics, "process": cmd_process}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except tuple(EXIT_CODES) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prqmf import analysis
+from prqmf import analysis, cli, poly
 from prqmf.bank import design_bank
 from prqmf.cli import bank_to_dict, load_bank, main, save_bank
 from prqmf.prototype import DesignSpec
@@ -501,3 +501,115 @@ class TestMalformedInput:
         if not err.getvalue().startswith("usage:"):
             assert_one_error_line(err.getvalue(), "ValueError")
         assert not out.exists()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see an earlier call's state."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_zeros_do_not_carry_over(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["design", "--n", "6", "--refine", "2", "--zeros", "0,0.5", "--out", str(first)]) == 0
+        assert main(["design", "--n", "6", "--refine", "1", "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["zero_freqs"] == [0.0, 0.5]
+        default = list(design_bank(DesignSpec(n=6, m=1)).zero_freqs)
+        assert json.loads(second.read_text())["zero_freqs"] == default != [0.0, 0.5]
+
+    def test_usage_error_then_verify(self, tmp_path, capsys):
+        _, bankfile = design(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--n", "6", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["verify", str(bankfile)]) == 0
+        assert capsys.readouterr().out.startswith("delay=")
+
+    def test_rebound_command_runs(self, tmp_path, monkeypatch):
+        _, bankfile = design(tmp_path)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.path) or 7)
+        assert main(["verify", str(bankfile)]) == 7
+        assert seen == [str(bankfile)]
+
+
+def per_line_read_signal(path):
+    """The reader before it read the file in one call: one `float` per line of the file."""
+    with open(path, "rb") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    for header in (0, 1):
+        try:
+            x = np.array([float(ln) for ln in lines[header:]])
+        except ValueError:
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+        break
+    raise cli.SignalFileError(f"signal {path} has a sample that is not a finite number")
+
+
+SIGNAL_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1_0", "abc", "x", "", "  ", "\t ", "0.\r5", "\r0.25"]),
+)
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path)
+    except Exception as exc:  # the exception type is what must agree
+        return type(exc)
+
+
+class TestSignalReader:
+    @given(
+        lines=st.lists(st.tuples(SIGNAL_TOKENS, st.sampled_from(["\n", "\r\n"])), max_size=12),
+        final_newline=st.booleans(),
+    )
+    def test_one_read_matches_per_line_reader(self, tmp_path_factory, lines, final_newline):
+        text = "".join(tok + end for tok, end in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("signal") / "x.csv"
+        path.write_bytes(text.encode())
+        got = read_outcome(cli._read_signal, str(path))
+        want = read_outcome(per_line_read_signal, str(path))
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        else:
+            assert got is want
+
+    def test_crlf_signal_processes(self, tmp_path):
+        _, bankfile = design(tmp_path, n=6)
+        x = np.random.default_rng(7).standard_normal(64)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for sig in (lf, crlf):
+            assert main(["process", str(bankfile), "--in", str(sig), "--out", str(tmp_path / f"y-{sig.stem}")]) == 0
+        assert (tmp_path / "y-lf").read_bytes() == (tmp_path / "y-crlf").read_bytes()
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("grid", [2, 65, 1024])
+    def test_response_csv_matches_per_row_writes(self, tmp_path, grid):
+        _, bankfile = design(tmp_path, n=10)
+        out = tmp_path / "resp.csv"
+        assert main(["response", str(bankfile), "--grid", str(grid), "--out", str(out)]) == 0
+        bank = load_bank(str(bankfile))
+        w = np.linspace(0.0, math.pi, grid)
+        mags = [np.abs(poly.grid_response(h, grid)) for h in (bank.h0, bank.h1)]
+        want = io.StringIO()
+        want.write("omega,mag_h0,mag_h1,mag_h0_db,mag_h1_db\n")
+        for row in zip(*(col.tolist() for col in (w, *mags, *map(cli._mag_db, mags)))):
+            want.write(",".join(map(repr, row)) + "\n")
+        assert out.read_bytes() == want.getvalue().encode()
+
+    def test_design_file_is_indented_json(self, tmp_path):
+        _, bankfile = design(tmp_path, "--refine", "2", n=9)
+        bank = design_bank(DesignSpec(n=9, m=2))
+        assert bankfile.read_text() == json.dumps(bank_to_dict(bank), indent=2) + "\n"
+        doc = json.loads(bankfile.read_text())
+        assert (doc["f0"], doc["f1"]) == (bank.f0.tolist(), bank.f1.tolist())
