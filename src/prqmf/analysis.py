@@ -33,7 +33,7 @@ class PrReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_spurious <= PR_TOL and abs(self.scale) > 1e-9
+        return self.max_spurious <= PR_TOL
 
 
 @dataclass(frozen=True)

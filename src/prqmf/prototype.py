@@ -107,10 +107,8 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
     c0 = edges.ws**2 / denom
     b0 = edges.wp**2 / denom
-    k = np.arange(-n, n + 1)
-    return c0 * np.sinc(edges.ws * k / (2 * math.pi)) ** 2 - b0 * np.sinc(
-        edges.wp * k / (2 * math.pi)
-    ) ** 2
+    sinc = np.sinc(np.multiply.outer((edges.ws, edges.wp), np.arange(-n, n + 1)) / (2 * math.pi))
+    return c0 * sinc[0] ** 2 - b0 * sinc[1] ** 2
 
 
 def window_weights(spec: WindowSpec, length: int) -> np.ndarray:

@@ -37,22 +37,24 @@ class DenseSystem:
 
 
 def build_system(h0) -> DenseSystem:
-    """One row per odd power i in {1, 3, ..., 2n-1} of P(z).
+    """One row per odd power 2r+1, r in {0, ..., n-1}, of P(z).
 
-    The row weight on unknown b_j is a_{i-j} (-1)^j, with indices past the
-    fold mapped back via b_{2n-2-j} = b_j and out-of-range terms dropped.
-    Every rhs entry is zero except the last (central product term), pinned
-    to 1 to exclude the trivial all-zero solution.
+    The weight on unknown b_j is a_{2r+1-j} (-1)^j, out-of-range terms dropped,
+    which is g[2n-1+2r-j] for g = -a(-z) behind 2n-2 zeros: one strided view. Past
+    the fold, b_{2n-2-j} = b_j. The rhs is zero except the last (central product
+    term) entry, pinned to 1 to exclude the trivial all-zero solution.
     """
     a = poly.require_symmetric(h0, "h0")
     if a.size < 3:
         raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
     n = (a.size - 1) // 2
-    k = np.arange(1, 2 * n, 2)[:, None] - np.arange(2 * n - 1)
-    full = np.where(k >= 0, a[np.maximum(k, 0)], 0.0)
-    full[:, 1::2] *= -1.0
-    mat = full[:, :n].copy()
-    mat[:, : n - 1] += full[:, : n - 1 : -1]
+    g = np.concatenate((np.zeros(2 * n - 2), a))
+    g[::2] *= -1.0  # padding too: a dropped term is 0 (-1)^j, -0.0 in odd columns
+    s = g.itemsize  # a bounds-checked view of g; as_strided would not check
+    full = np.ndarray((n, 2 * n - 1), buffer=g, offset=(2 * n - 1) * s, strides=(2 * s, -s))
+    mat = np.empty((n, n))
+    np.add(full[:, : n - 1], full[:, : n - 1 : -1], out=mat[:, : n - 1])
+    mat[:, n - 1] = full[:, n - 1]
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return DenseSystem(mat, rhs)

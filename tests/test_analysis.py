@@ -87,6 +87,12 @@ class TestVerifyPr:
         assert report.max_spurious > 0.1
         assert not report.passed
 
+    def test_tiny_scale_passes(self):
+        bank = design_bank(DesignSpec(n=10))
+        report = verify_pr(1e-5 * bank.h0, 1e-5 * bank.h1)
+        assert abs(report.scale) < 1e-9
+        assert report.passed
+
     def test_zero_transfer_raises(self):
         with pytest.raises(NoDelayFound):
             verify_pr([1.0], [1.0])

@@ -139,6 +139,21 @@ class TestVerify:
         spur = float(report.split("max_spurious=")[1].split()[0])
         assert spur > 1e-5
 
+    def test_rescaled_bank_passes_as_process_does(self, tmp_path, capsys):
+        # T(z) shrinks by 1e-10; the certificate is relative to it, so the bank stays PR.
+        doc = bank_to_dict(design_bank(DesignSpec(n=10)))
+        for key in ("h0", "h1"):
+            doc[key] = [1e-5 * v for v in doc[key]]
+        path, sig, out = tmp_path / "bank.json", tmp_path / "x.csv", tmp_path / "y.csv"
+        path.write_text(json.dumps(doc))
+        write_signal(sig, np.random.default_rng(3).uniform(-1, 1, 4096))
+        assert main(["verify", str(path)]) == 0
+        scale = float(capsys.readouterr().out.split("scale=")[1].split()[0])
+        assert 0.0 < abs(scale) < 1e-9
+        assert main(["process", str(path), "--in", str(sig), "--out", str(out)]) == 0
+        err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
+        assert err <= 1e-8
+
     def test_truncated_json(self, tmp_path):
         _, out = design(tmp_path)
         out.write_text(out.read_text()[:50])

@@ -37,6 +37,23 @@ class TestBuildSystem:
         assert np.allclose(sys_.matrix, [[2.0, -1.0], [4.0, -3.0]])
         assert np.array_equal(sys_.rhs, [0.0, 1.0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 160), st.data())
+    def test_matches_definition(self, n, data):
+        half = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1))
+        h0 = np.array(half + half[-2::-1])
+        before = h0.copy()
+        mat = build_system(h0).matrix
+        # Row i is odd power 2i+1: weight a[2i+1-j] (-1)^j, column j >= n folded onto 2n-2-j.
+        ref = np.zeros((n, n))
+        for i in range(n):
+            for j in range(2 * n - 1):
+                if 2 * i + 1 - j >= 0:
+                    ref[i, min(j, 2 * n - 2 - j)] += h0[2 * i + 1 - j] * (-1) ** j
+        assert np.array_equal(mat, ref)
+        assert np.array_equal(h0, before)
+        assert not np.shares_memory(mat, h0)
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             build_system([1.0])
@@ -154,6 +171,18 @@ class TestDesignPair:
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
             design_bank(DesignSpec(n=0, m=0))
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("window", ["rectangular", "hamming", "gaussian", "kaiser"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_long_design_certifies(n, window, m):
+    """Designs in the n range (32..128) where the mate build and solve dominate."""
+    bank = design_bank(DesignSpec(n=n, window=WindowSpec(window), m=m))
+    assert bank.max_spurious <= 1e-9
+    assert bank.delay == 2 * n - 1 + 2 * m
+    assert bank.h0.size == 2 * n + 1
+    assert bank.h1.size == 2 * n + 4 * m - 1
 
 
 # Numerically rank-deficient mate systems (H0(z) and H0(-z) nearly share
