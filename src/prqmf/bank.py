@@ -5,17 +5,17 @@ from __future__ import annotations
 from . import analysis
 from .prototype import DesignSpec, design_h0
 from .qmf_core import basic_mate
-from .refine import RefinementSpec, default_zero_freqs, refine_h1
+from .refine import RefinementSpec, _refine_h1, default_zero_freqs
 
 
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
     """Prototype, solve for the mate, refine (if m > 0), assemble, certify."""
     h0 = design_h0(spec)
-    h1 = basic_mate(h0)
+    h1 = basic_mate(h0)  # the one check of h0; the later stages take checked arrays
     zero_freqs: tuple[float, ...] = ()
     if spec.m >= 1:
         zero_freqs = spec.zero_freqs or default_zero_freqs(spec.m, spec.edges)
-        h1 = refine_h1(h0, h1, RefinementSpec(spec.m, zero_freqs))
+        h1 = _refine_h1(h0, h1, RefinementSpec(spec.m, zero_freqs))
     bank = analysis.FilterBank(h0, h1, spec, zero_freqs)
     bank.certificate  # certify here, so NoDelayFound is raised by the design
     return bank

@@ -24,11 +24,6 @@ def as_poly(coeffs) -> np.ndarray:
     return p
 
 
-def multiply(p, q) -> np.ndarray:
-    """Polynomial product p(z)*q(z), i.e. coefficient convolution."""
-    return np.convolve(as_poly(p), as_poly(q))
-
-
 def alternate(p) -> np.ndarray:
     """Realize p(-z): sign-flip the odd-index coefficients."""
     out = as_poly(p).copy()

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import poly
-
 WINDOW_KINDS = ("rectangular", "hamming", "gaussian", "kaiser")
 
 GAUSSIAN_DEFAULT_ALPHA = 2.5
@@ -132,9 +130,9 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
 
 
 def design_h0(spec: DesignSpec) -> np.ndarray:
-    """Windowed trapezoid prototype, scaled to unit gain at w=0."""
+    """Windowed trapezoid prototype, scaled to unit gain at w=0; symmetric by construction."""
     taps = trapezoid_taps(spec.edges, spec.n) * window_weights(spec.window, 2 * spec.n + 1)
     dc = taps.sum()
     if abs(dc) <= 1e-9:
         raise ValueError("degenerate prototype: DC gain vanishes before normalization")
-    return poly.require_symmetric(taps / dc, "h0")
+    return taps / dc

@@ -10,8 +10,6 @@ solve residual and the PR certificate decide whether it is accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import poly
@@ -28,25 +26,16 @@ class DegeneratePassband(Exception):
     """Candidate high-pass has numerically zero gain at w = pi."""
 
 
-@dataclass(frozen=True)
-class DenseSystem:
-    """A square system matrix @ x = rhs (the mate's taps, or the refinement's E)."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def build_system(h0) -> DenseSystem:
-    """One row per odd power 2r+1, r in {0, ..., n-1}, of P(z).
+def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
+    """The square mate system (matrix, rhs): one row per odd power 2r+1,
+    r in {0, ..., n-1}, of P(z), for an h0 that `basic_mate` has checked.
 
     The weight on unknown b_j is a_{2r+1-j} (-1)^j, out-of-range terms dropped,
     which is g[2n-1+2r-j] for g = -a(-z) behind 2n-2 zeros: one strided view. Past
     the fold, b_{2n-2-j} = b_j. The rhs is zero except the last (central product
     term) entry, pinned to 1 to exclude the trivial all-zero solution.
     """
-    a = poly.require_symmetric(h0, "h0")
-    if a.size < 3:
-        raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
+    a = np.asarray(h0, dtype=float)
     n = (a.size - 1) // 2
     g = np.concatenate((np.zeros(2 * n - 2), a))
     g[::2] *= -1.0  # padding too: a dropped term is 0 (-1)^j, -0.0 in odd columns
@@ -57,13 +46,13 @@ def build_system(h0) -> DenseSystem:
     mat[:, n - 1] = full[:, n - 1]
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    return DenseSystem(mat, rhs)
+    return mat, rhs
 
 
-def solve(system: DenseSystem) -> np.ndarray:
-    """LAPACK LU with partial pivoting, accepted only on a small residual in every rhs column."""
-    a = np.asarray(system.matrix, dtype=float)
-    b = np.asarray(system.rhs, dtype=float)
+def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """LAPACK LU with partial pivoting on a (matrix, rhs) pair (the mate's taps, or
+    the refinement's E), accepted only on a small residual in every rhs column."""
+    a, b = (np.asarray(x, dtype=float) for x in system)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("system must be square with a matching rhs")
@@ -100,4 +89,7 @@ def basic_mate(h0) -> np.ndarray:
     Where the mate system is rank-deficient the mate is not unique; the
     caller certifies the pair with analysis.verify_pr.
     """
+    h0 = poly.require_symmetric(h0, "h0")
+    if h0.size < 3:
+        raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
     return normalize_passband(unfold(solve(build_system(h0))))

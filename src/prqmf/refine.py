@@ -20,7 +20,7 @@ import numpy as np
 
 from . import poly
 from .prototype import BandEdges
-from .qmf_core import DenseSystem, SingularSystem, normalize_passband, solve
+from .qmf_core import SingularSystem, normalize_passband, solve
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
 SINGULAR_RTOL = 1e-12
@@ -70,6 +70,14 @@ def build_e(free) -> np.ndarray:
     return e
 
 
+def _checked_pair(h0, h1) -> tuple[np.ndarray, np.ndarray]:
+    """The check of both public entry points: symmetric h0 and its 2n-1 tap mate h1."""
+    h0, h1 = poly.require_symmetric(h0, "h0"), poly.require_symmetric(h1, "h1")
+    if h1.size != h0.size - 2:
+        raise ValueError("h1 must be the 2n-1 tap mate of h0")
+    return h0, h1
+
+
 def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     """Free coefficients of E forcing amplitude zeros at spec.zero_freqs.
 
@@ -77,10 +85,11 @@ def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     is A1(w) + A0(w) sum_j c_j 2 cos((2m-1-2j) w), A0 and A1 taken about the
     centres of h0 and h1: mat = diag(A0(w_q)) C with C[q, j] = 2 cos((2m-1-2j) w_q).
     """
-    h0 = poly.require_symmetric(h0, "h0")
-    h1 = poly.require_symmetric(h1, "h1")
-    if h1.size != h0.size - 2:
-        raise ValueError("h1 must be the 2n-1 tap mate of h0")
+    return _solve_correction(*_checked_pair(h0, h1), spec)
+
+
+def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
+    """solve_correction on a checked pair."""
     n, m = h0.size // 2, spec.m
     # cos(k w) for k = -n..n; h1's taps sit at k = -(n-1)..n-1 about its centre.
     cos_k = np.cos(np.multiply.outer(spec.zero_freqs, np.arange(-n, n + 1)))
@@ -91,7 +100,7 @@ def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     # Coincident or unreachable zeros give a consistent singular system that LU
     # solves to a small residual, so gate on 1/||mat^-1||_1, from the same LU.
     try:
-        sol = solve(DenseSystem(mat, np.column_stack((rhs, np.eye(m)))))
+        sol = solve((mat, np.column_stack((rhs, np.eye(m)))))
         inv_norm = float(np.abs(sol[:, 1:]).sum(axis=0).max())
     except SingularSystem:
         inv_norm = math.inf
@@ -109,7 +118,11 @@ def refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarra
     normalize=False skips the passband renormalization and returns the raw
     z^(-2m) H1 + E H0 sum, useful for closed-form cross-checks.
     """
-    free = solve_correction(h0, h1, spec)  # checks h0 and h1
-    refined = np.convolve(build_e(free), h0)
-    refined[2 * spec.m : 2 * spec.m + np.size(h1)] += h1
+    return _refine_h1(*_checked_pair(h0, h1), spec, normalize)
+
+
+def _refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarray:
+    """refine_h1 on a checked pair; `bank.design_bank` calls it on the mate it solved for."""
+    refined = np.convolve(build_e(_solve_correction(h0, h1, spec)), h0)
+    refined[2 * spec.m : 2 * spec.m + h1.size] += h1
     return normalize_passband(refined) if normalize else refined

@@ -113,7 +113,7 @@ class TestSynthesisFilters:
             h0 = rng.uniform(-1, 1, 7)
             h1 = rng.uniform(-1, 1, 5)
             f0, f1 = synthesis_filters(h0, h1)
-            alias = poly.multiply(poly.alternate(h0), f0) + poly.multiply(
+            alias = np.convolve(poly.alternate(h0), f0) + np.convolve(
                 poly.alternate(h1), f1
             )
             assert np.all(np.abs(alias) <= 1e-12)

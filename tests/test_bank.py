@@ -1,0 +1,73 @@
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prqmf import poly
+from prqmf.analysis import NoDelayFound, verify_pr
+from prqmf.bank import design_bank
+from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
+from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate
+from prqmf.refine import RefinementSpec, SingularRefinement, default_zero_freqs, refine_h1
+
+DESIGN_ERRORS = (SingularSystem, DegeneratePassband, SingularRefinement, NoDelayFound)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_one_check_per_design(monkeypatch, m):
+    """design_bank checks its prototype once, in basic_mate; the later stages take
+    checked arrays. FilterBank and the certificate's transfer coerce with as_poly."""
+    calls = {"require_symmetric": 0, "as_poly": 0}
+
+    def counting(name):
+        fn = getattr(poly, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(poly, name, counting(name))
+    bank = design_bank(DesignSpec(n=10, m=m))
+    assert bank.max_spurious <= 1e-9
+    assert calls["require_symmetric"] == 1
+    assert calls["as_poly"] <= 5
+
+
+specs = st.builds(
+    DesignSpec,
+    n=st.integers(1, 40),
+    edges=st.builds(BandEdges.symmetric, st.floats(0.02 * math.pi, 0.45 * math.pi)),
+    window=st.sampled_from(
+        [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]
+    ),
+    m=st.integers(0, 2),
+)
+
+
+def staged_design(spec):
+    """The design through the public, checking stages."""
+    h0 = design_h0(spec)
+    h1 = basic_mate(h0)
+    if spec.m >= 1:
+        h1 = refine_h1(h0, h1, RefinementSpec(spec.m, default_zero_freqs(spec.m, spec.edges)))
+    return h0, h1, verify_pr(h0, h1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs)
+def test_design_bank_is_the_public_stages(spec):
+    """design_bank runs the stages' own code on checked arrays: the same bits and
+    the same certificate as the public stages, or the same exception."""
+    try:
+        h0, h1, report = staged_design(spec)
+    except DESIGN_ERRORS as exc:
+        with pytest.raises(type(exc)):
+            design_bank(spec)
+        return
+    bank = design_bank(spec)
+    assert bank.h0.tobytes() == h0.tobytes()
+    assert bank.h1.dtype == h1.dtype and bank.h1.tobytes() == h1.tobytes()
+    assert bank.certificate == report

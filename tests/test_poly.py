@@ -18,41 +18,6 @@ def symmetric_firs(draw, max_half=6):
     return np.array(half + [center] + half[::-1])
 
 
-class TestMultiply:
-    def test_binomial_square(self):
-        assert np.array_equal(poly.multiply([1, 1], [1, 1]), [1, 2, 1])
-
-    def test_toy_product(self):
-        out = poly.multiply([1, 2, 3, 2, 1], [-0.5, 1, -0.5])
-        assert np.allclose(out, [-0.5, 0, 0, 1, 0, 0, -0.5], atol=1e-15)
-
-    def test_scalar_identity(self):
-        p = np.array([1.0, -2.0, 0.25])
-        assert np.array_equal(poly.multiply([3.0], p), 3.0 * p)
-
-    def test_length_law(self):
-        assert poly.multiply(np.ones(5), np.ones(3)).size == 7
-
-    @given(polys, polys, coeffs)
-    def test_bilinearity(self, p, q, alpha):
-        left = poly.multiply(alpha * p, q)
-        right = alpha * poly.multiply(p, q)
-        assert np.allclose(left, right, rtol=0, atol=1e-12 * (1 + np.abs(right).max()))
-
-    @given(symmetric_firs(), symmetric_firs())
-    def test_symmetric_product_is_symmetric_odd(self, p, q):
-        out = poly.multiply(p, q)
-        assert out.size % 2 == 1
-        assert np.allclose(out, out[::-1], atol=1e-12 * (1 + np.abs(out).max()))
-
-    @given(polys, polys)
-    def test_alternate_distributes(self, p, q):
-        assert np.array_equal(
-            poly.alternate(poly.multiply(p, q)),
-            poly.multiply(poly.alternate(p), poly.alternate(q)),
-        )
-
-
 class TestAlternate:
     def test_example(self):
         assert np.array_equal(poly.alternate([1, 2, 3]), [1, -2, 3])
@@ -63,6 +28,13 @@ class TestAlternate:
     @given(polys)
     def test_involution(self, p):
         assert np.array_equal(poly.alternate(poly.alternate(p)), p)
+
+    @given(polys, polys)
+    def test_alternate_distributes(self, p, q):
+        assert np.array_equal(
+            poly.alternate(np.convolve(p, q)),
+            np.convolve(poly.alternate(p), poly.alternate(q)),
+        )
 
 
 class TestEvaluate:
