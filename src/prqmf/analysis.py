@@ -36,11 +36,12 @@ class PrReport:
         return self.max_spurious <= PR_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
     """A bank is its analysis pair (h0, h1). The synthesis pair is derived by
     `synthesis_filters`; delay, scale and max_spurious come from one PR
-    certificate, computed on first read (NoDelayFound if T(z) vanishes)."""
+    certificate, computed on first read (NoDelayFound if T(z) vanishes).
+    Equality and hashing are by identity, as array fields have no `==`."""
 
     h0: np.ndarray
     h1: np.ndarray
@@ -87,7 +88,7 @@ class ResponseMetrics:
     ideal: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessReport:
     y: np.ndarray
     max_rel_error: float
@@ -131,12 +132,13 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     The chain runs as overlap-add on FFT blocks of `size` samples, a power of
     two, set by the filter lengths alone. Blocks start at even samples, so
     down-sampling by 2 and then up-sampling by 2, which zeroes the odd samples,
-    is the spectral fold V = (S + conj(S[::-1])) / 2 on each block. `y` has
+    is the spectral fold V = (S + conj(S[::-1])) / 2 on each block. Blocks run
+    in batches through two spectral buffers allocated once per call. `y` has
     len(x) + len(h0) + len(h1) - 2 samples and agrees with direct convolution
-    to round-off. The reconstruction error is reported over the steady-state
-    region only: the `delay` samples at each end of the signal are transients.
-    A signal of at most 2 * delay samples has no steady state, and its
-    `max_rel_error` is NaN.
+    to round-off. The reconstruction error is the max over the steady state,
+    scored batch by batch as each part of `y` becomes final: the `delay`
+    samples at each end of the signal are transients. A signal of at most
+    2 * delay samples has no steady state, and its `max_rel_error` is NaN.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
@@ -153,24 +155,35 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
     # spectra of F0 = H1(-z) and F1 = -H0(-z), times the fold's 1/2 (exact)
     F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
-    rows = max(1, 2**17 // size)  # about 1 MB per temporary
+    rows = max(1, 2**17 // size)  # about 1 MB per spectral buffer
+    # reused by every batch; the fold reverses into R, as in place forces a copy
+    S, R = np.empty((2, min(rows, blocks), size // 2 + 1), complex)
+    y = ys.reshape(-1)
+    peak, err = 0.0, 0.0
     for b in range(0, blocks, rows):
-        seg = x[b * hop : (b + rows) * hop]
-        xb = np.zeros((min(rows, blocks - b), hop))
-        xb.reshape(-1)[: seg.size] = seg
-        X = np.fft.rfft(xb, size)
-        S0, S1 = X * H0, X * H1
-        Y = F0 * (S0 + np.conj(S0[:, ::-1])) + F1 * (S1 + np.conj(S1[:, ::-1]))
-        yb = np.fft.irfft(Y, size)
-        ys[b : b + len(yb)] += yb[:, :hop]
-        ys[b + 1 : b + len(yb) + 1, :tail] += yb[:, hop : hop + tail]
-    y = ys.reshape(-1)[: x.size + tail]
-    lo, hi = d, x.size - d
-    if lo < hi:
-        peak = max(float(x.max()), -float(x.min()))
-        buf = np.multiply(x[lo:hi], c)
-        np.subtract(y[lo + d : hi + d], buf, out=buf)
-        max_rel = float(np.abs(buf, out=buf).max()) / (abs(c) * peak) if peak > 0.0 else 0.0
+        r = min(rows, blocks - b)
+        seg = x[b * hop : (b + r) * hop]
+        xb = seg if seg.size == r * hop else np.concatenate((seg, np.zeros(r * hop - seg.size)))
+        X = np.fft.rfft(xb.reshape(r, hop), size)
+        for H, F, V in ((H0, F0, S[:r]), (H1, F1, X)):
+            np.multiply(X, H, out=V)
+            np.conjugate(V[:, ::-1], out=R[:r])
+            np.add(V, R[:r], out=V)
+            np.multiply(F, V, out=V)
+        np.add(S[:r], X, out=S[:r])
+        yb = np.fft.irfft(S[:r], size)
+        ys[b : b + r] += yb[:, :hop]
+        ys[b + 1 : b + r + 1, :tail] += yb[:, hop : hop + tail]
+        # rows b .. b + r - 1 are final (the next batch reaches row b + r only)
+        peak = max(peak, seg.max(), -seg.min())
+        lo, hi = max(2 * d, b * hop), min(x.size, (b + r) * hop)
+        if lo < hi:
+            buf = np.multiply(x[lo - d : hi - d], c)
+            np.subtract(y[lo:hi], buf, out=buf)
+            err = np.maximum(err, np.abs(buf, out=buf).max())
+    y = y[: x.size + tail]
+    if 2 * d < x.size:
+        max_rel = float(err) / (abs(c) * float(peak)) if peak > 0.0 else 0.0
     else:
         max_rel = math.nan
     return ProcessReport(y=y, max_rel_error=max_rel, delay=d, scale=c)

@@ -230,6 +230,153 @@ class TestProcessBank:
             process_bank(bank10, x)
 
 
+STREAM_SPECS = (
+    DesignSpec(n=10, window=WindowSpec("hamming"), m=1),
+    DesignSpec(n=40, window=WindowSpec("kaiser"), m=2),
+)
+
+
+@pytest.fixture(scope="module")
+def stream_banks():
+    return tuple(design_bank(spec) for spec in STREAM_SPECS)
+
+
+def block_geometry(bank):
+    """(hop, rows) of process_bank's block rule, for choosing signal lengths."""
+    tail = bank.h0.size + bank.h1.size - 2
+    size = max(2048, 1 << (2 * tail + 2).bit_length())
+    return (size - tail) & ~1, max(1, 2**17 // size)
+
+
+def draw_bank(data, rng, stream_banks):
+    """A stream bank, the toy pair (exact PR, 6-sample tail), or a random pair
+    as in the block test."""
+    pick = data.draw(st.sampled_from([0, 1, "toy", (1, 12), (200, 400), (500, 700)]))
+    if pick == "toy":
+        return FilterBank([1.0, 2.0, 3.0, 2.0, 1.0], [-0.5, -1.0, -0.5])
+    if isinstance(pick, int):
+        return stream_banks[pick]
+    len0 = data.draw(st.integers(*pick))
+    return FilterBank(rng.uniform(-2, 2, len0), rng.uniform(-2, 2, len0 + data.draw(st.integers(*pick))))
+
+
+def allocating_process_bank(bank, x):
+    """process_bank with a fresh staging array and fold temporaries for every
+    batch, scoring the steady state in one pass after the loop. The reused
+    buffers and per-batch score must give the same bits: (y, max_rel_error)."""
+    x = np.asarray(x, dtype=float)
+    d, c = bank.delay, bank.scale
+    tail = bank.h0.size + bank.h1.size - 2
+    size = max(2048, 1 << (2 * tail + 2).bit_length())
+    hop = (size - tail) & ~1
+    blocks = -(-x.size // hop)
+    ys = np.zeros((blocks + 1, hop))
+    H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
+    F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
+    rows = max(1, 2**17 // size)
+    for b in range(0, blocks, rows):
+        seg = x[b * hop : (b + rows) * hop]
+        xb = np.zeros((min(rows, blocks - b), hop))
+        xb.reshape(-1)[: seg.size] = seg
+        X = np.fft.rfft(xb, size)
+        S0, S1 = X * H0, X * H1
+        Y = F0 * (S0 + np.conj(S0[:, ::-1])) + F1 * (S1 + np.conj(S1[:, ::-1]))
+        yb = np.fft.irfft(Y, size)
+        ys[b : b + len(yb)] += yb[:, :hop]
+        ys[b + 1 : b + len(yb) + 1, :tail] += yb[:, hop : hop + tail]
+    y = ys.reshape(-1)[: x.size + tail]
+    lo, hi = d, x.size - d
+    if lo < hi:
+        peak = max(float(x.max()), -float(x.min()))
+        buf = np.multiply(x[lo:hi], c)
+        np.subtract(y[lo + d : hi + d], buf, out=buf)
+        max_rel = float(np.abs(buf, out=buf).max()) / (abs(c) * peak) if peak > 0.0 else 0.0
+    else:
+        max_rel = math.nan
+    return y, max_rel
+
+
+def assert_same_bits(bank, x):
+    want_y, want_err = allocating_process_bank(bank, x)
+    report = process_bank(bank, x)
+    assert report.y.shape == want_y.shape and np.array_equal(report.y, want_y)
+    assert report.max_rel_error == want_err or (math.isnan(want_err) and math.isnan(report.max_rel_error))
+
+
+class TestProcessBankBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_score_is_max_over_final_steady_state(self, stream_banks, data, seed):
+        # the largest |x| sits in the first batch or in the last, partial one
+        rng = np.random.default_rng(seed)
+        bank = draw_bank(data, rng, stream_banks)
+        d, c = bank.delay, bank.scale
+        hop, rows = block_geometry(bank)
+        n = data.draw(
+            st.sampled_from([1, 2 * d, 2 * d + 1, rows * hop - 1, rows * hop + 1])
+            | st.integers(1, hop).map(lambda k: 2 * rows * hop + k)
+        )
+        x = rng.uniform(-1, 1, n)
+        last = (-(-n // hop) - 1) // rows * rows * hop
+        at = data.draw(st.integers(0, min(n, rows * hop) - 1) | st.integers(last, n - 1))
+        x[at] = data.draw(st.sampled_from([-3.0, 3.0]))
+        report = process_bank(bank, x)
+        zero = process_bank(bank, np.zeros(n)).max_rel_error
+        if n <= 2 * d:
+            assert math.isnan(report.max_rel_error) and math.isnan(zero)
+        else:
+            want = np.abs(report.y[2 * d : n] - c * x[d : n - d]).max() / (abs(c) * np.abs(x).max())
+            assert report.max_rel_error == want
+            assert zero == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_reused_buffers_match_allocating_loop(self, stream_banks, data, seed):
+        # the lengths of test_blocks_match_decimate_then_expand, on its pairs
+        # and on the stream banks
+        rng = np.random.default_rng(seed)
+        bank = draw_bank(data, rng, stream_banks)
+        hop, rows = block_geometry(bank)
+        blocks = data.draw(st.sampled_from([1, 2, 3, rows, rows + 1]))
+        x = rng.uniform(-1, 1, max(1, blocks * hop + data.draw(st.integers(-1, 1))))
+        assert_same_bits(bank, x)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["n10-hamming-m1", "n40-kaiser-m2"])
+    def test_stream_banks_keep_their_bits(self, stream_banks, index):
+        bank = stream_banks[index]
+        hop, rows = block_geometry(bank)
+        x = np.random.default_rng(19).standard_normal(3 * rows * hop + 5)
+        before = x.copy()
+        assert_same_bits(bank, x)
+        assert np.array_equal(x, before)
+        for view in (x[::2], x[::-1]):
+            assert np.array_equal(process_bank(bank, view).y, process_bank(bank, view.copy()).y)
+
+    def test_nan_in_a_later_batch_survives_the_max(self, bank10):
+        # an overflowing sample turns part of y into NaN; one pass over the
+        # whole steady state reports NaN, and so must the per-batch max
+        hop, rows = block_geometry(bank10)
+        x = np.random.default_rng(23).standard_normal(3 * rows * hop)
+        x[rows * hop + 5] = 1.7e308
+        with np.errstate(all="ignore"):
+            want_y, want_err = allocating_process_bank(bank10, x)
+            report = process_bank(bank10, x)
+        assert math.isnan(want_err) and math.isnan(report.max_rel_error)
+        assert np.array_equal(report.y, want_y, equal_nan=True)
+
+
+def test_bank_and_report_compare_by_identity(bank10):
+    pairs = (
+        (bank10, FilterBank(bank10.h0, bank10.h1)),
+        (process_bank(bank10, [1.0]), process_bank(bank10, [1.0])),
+    )
+    for a, b in pairs:
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2 and a in {a} and b not in {a}
+
+
 class TestMse:
     def test_all_zero_filter_vs_lowpass(self):
         # oracle: D=1 on 512 of the 1024 grid points, no exact pi/2 sample
