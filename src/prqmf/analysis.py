@@ -111,10 +111,10 @@ def verify_pr(h0, h1) -> PrReport:
     """Locate the delay term of T(z) and measure everything else against it."""
     t = transfer(h0, h1)
     mags = np.abs(t)
-    idx = int(np.argmax(mags))
+    idx = int(mags.argmax())
     c = float(t[idx])
     # transfer has validated both filters
-    floor = 1e-12 * float(np.max(np.abs(h0)) * np.max(np.abs(h1)))
+    floor = 1e-12 * float(np.abs(h0).max() * np.abs(h1).max())
     if abs(c) <= floor:
         raise NoDelayFound("transfer function is numerically zero")
     mags[idx] = 0.0
@@ -143,8 +143,6 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-D sequence")
-    if not np.isfinite(x).all():
-        raise ValueError("signal samples must be finite")
     d, c = bank.delay, bank.scale
     tail = bank.h0.size + bank.h1.size - 2
     # hop > tail, so a block's tail spills into the next block only
@@ -163,6 +161,10 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     for b in range(0, blocks, rows):
         r = min(rows, blocks - b)
         seg = x[b * hop : (b + r) * hop]
+        # NaN and +-inf reach the batch's max or min; checked before its FFT
+        top, bottom = seg.max(), seg.min()
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValueError("signal samples must be finite")
         xb = seg if seg.size == r * hop else np.concatenate((seg, np.zeros(r * hop - seg.size)))
         X = np.fft.rfft(xb.reshape(r, hop), size)
         for H, F, V in ((H0, F0, S[:r]), (H1, F1, X)):
@@ -175,7 +177,7 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
         ys[b : b + r] += yb[:, :hop]
         ys[b + 1 : b + r + 1, :tail] += yb[:, hop : hop + tail]
         # rows b .. b + r - 1 are final (the next batch reaches row b + r only)
-        peak = max(peak, seg.max(), -seg.min())
+        peak = max(peak, top, -bottom)
         lo, hi = max(2 * d, b * hop), min(x.size, (b + r) * hop)
         if lo < hi:
             buf = np.multiply(x[lo - d : hi - d], c)

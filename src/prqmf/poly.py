@@ -16,8 +16,10 @@ SYMMETRY_RTOL = 1e-12
 
 def as_poly(coeffs) -> np.ndarray:
     """Validate and coerce a coefficient sequence to a 1-D float array."""
-    p = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if p.ndim != 1 or p.size < 1:
+    p = np.asarray(coeffs, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    elif p.ndim != 1 or p.size < 1:
         raise ValueError("polynomial needs at least one coefficient")
     if not np.isfinite(p).all():
         raise ValueError("polynomial coefficients must be finite")
@@ -54,7 +56,8 @@ def is_symmetric(p) -> bool:
 
 def _symmetric(p: np.ndarray) -> bool:
     """is_symmetric on an array a public entry point has already validated."""
-    return p.size % 2 == 1 and bool(np.abs(p - p[::-1]).max() <= SYMMETRY_RTOL * np.abs(p).max())
+    d = p - p[::-1]
+    return p.size % 2 == 1 and bool(np.abs(d, out=d).max() <= SYMMETRY_RTOL * np.abs(p).max())
 
 
 def require_symmetric(p, name: str = "filter") -> np.ndarray:

@@ -52,7 +52,8 @@ def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
 def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """LAPACK LU with partial pivoting on a (matrix, rhs) pair (the mate's taps, or
     the refinement's E), accepted only on a small residual in every rhs column."""
-    a, b = (np.asarray(x, dtype=float) for x in system)
+    a, b = system
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("system must be square with a matching rhs")
@@ -60,9 +61,11 @@ def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    residual = np.abs(a @ x - b).max(axis=0)
+    r = a @ x
+    r -= b
+    residual = np.abs(r, out=r).max(axis=0)
     # Written as `not <=` so that a NaN residual is rejected too.
-    if not np.all(residual <= RESIDUAL_RTOL * np.maximum(np.abs(b).max(axis=0), 1e-300)):
+    if not (residual <= RESIDUAL_RTOL * np.maximum(np.abs(b).max(axis=0), 1e-300)).all():
         raise SingularSystem(f"residual {residual.max():.3e} too large; system is ill-conditioned")
     return x
 

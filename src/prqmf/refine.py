@@ -99,8 +99,10 @@ def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     rhs = -(cos_k[:, 1:-1] @ h1)
     # Coincident or unreachable zeros give a consistent singular system that LU
     # solves to a small residual, so gate on 1/||mat^-1||_1, from the same LU.
+    both = np.eye(m, m + 1, 1)  # [rhs | I]
+    both[:, 0] = rhs
     try:
-        sol = solve((mat, np.column_stack((rhs, np.eye(m)))))
+        sol = solve((mat, both))
         inv_norm = float(np.abs(sol[:, 1:]).sum(axis=0).max())
     except SingularSystem:
         inv_norm = math.inf

@@ -352,6 +352,19 @@ class TestProcessBankBatches:
         for view in (x[::2], x[::-1]):
             assert np.array_equal(process_bank(bank, view).y, process_bank(bank, view.copy()).y)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first", "batch-end", "batch-start", "last"])
+    def test_non_finite_sample_in_any_batch_rejected(self, bank10, bad, where):
+        # the finiteness check rides on each batch's extrema, so a bad sample
+        # must be caught in whichever batch holds it
+        hop, rows = block_geometry(bank10)
+        x = np.ones(150_000)
+        assert x.size > rows * hop
+        at = {"first": 0, "batch-end": rows * hop - 1, "batch-start": rows * hop, "last": -1}[where]
+        x[at] = bad
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            process_bank(bank10, x)
+
     def test_nan_in_a_later_batch_survives_the_max(self, bank10):
         # an overflowing sample turns part of y into NaN; one pass over the
         # whole steady state reports NaN, and so must the per-batch max

@@ -100,6 +100,31 @@ class TestWindows:
         with pytest.raises(ValueError):
             window_weights(WindowSpec("hamming"), 4)
 
+    def test_cached_window_is_read_only(self):
+        spec = WindowSpec("kaiser", 4.0)
+        w = window_weights(spec, 21)
+        want = window_weights.__wrapped__(spec, 21).copy()
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+        assert np.array_equal(window_weights(spec, 21), want)
+
+    @pytest.mark.parametrize("length", [1, 3, 21, 257])
+    @pytest.mark.parametrize(
+        "spec",
+        [WindowSpec("rectangular"), WindowSpec("hamming"), WindowSpec("gaussian", 2.5)]
+        + [WindowSpec("kaiser", beta) for beta in (0.0, 4.0, 709.0)],
+        ids=lambda spec: f"{spec.kind}-{spec.param}",
+    )
+    def test_cache_matches_uncached(self, spec, length):
+        w = window_weights(spec, length)
+        assert w.tobytes() == window_weights.__wrapped__(spec, length).tobytes()
+        assert window_weights(spec, length) is w
+
+    def test_cache_is_bounded(self):
+        # 128 windows of 257 taps are 0.26 MB; unbounded, a long run of
+        # seeded designs kept hundreds
+        assert window_weights.cache_info().maxsize == 128
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             WindowSpec("blackman")

@@ -85,6 +85,31 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve((np.ones((2, 3)), np.ones(2)))
 
+    def test_nan_residual_is_singular(self):
+        # LU returns NaN taps without a LinAlgError; only the residual gate catches them
+        with pytest.raises(SingularSystem):
+            solve((np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)))
+
+    def test_two_column_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+        b = rng.standard_normal((5, 2))
+        x = solve((a, b))
+        assert x.shape == (5, 2)
+        # the same LU; the triangular solves may round differently per rhs count
+        for j in range(2):
+            np.testing.assert_allclose(x[:, j], solve((a, b[:, j])), rtol=1e-12, atol=1e-15)
+
+    def test_residual_gate_is_per_column(self):
+        # column 0 lies along the large singular direction and solves exactly;
+        # column 1, of scale 1e-20, along the small one, leaves a residual near
+        # 1e-24: within column 0's budget, far outside its own
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        b = np.array([[1.0, 1e-20], [1.0, -1e-20]])
+        assert np.array_equal(solve((a, b[:, 0])), [1.0, 0.0])
+        with pytest.raises(SingularSystem):
+            solve((a, b))
+
 
 class TestNormalizePassband:
     def test_scalar(self):

@@ -135,7 +135,7 @@ class TestStructure:
         amps = poly.amplitude(h1p, np.array(spec.zero_freqs))
         assert np.all(np.abs(amps) <= 1e-10 * np.abs(h1p).max())
 
-    def test_m1_closed_form_matches_dense_path(self):
+    def test_m1_dc_zero_matches_closed_form(self):
         # independent reference: a DC zero of z^-2 H1 + c (1 + z^-2) H0 needs
         # H1(1) + 2 c H0(1) = 0, i.e. c = -H1(1) / (2 H0(1))
         h0, h1 = certified_pair(6, WindowSpec("hamming"))
