@@ -126,37 +126,51 @@ def synthesis_filters(h0, h1) -> tuple[np.ndarray, np.ndarray]:
     return poly.alternate(h1), -poly.alternate(h0)
 
 
+def _block_geometry(tail: int) -> tuple[int, int, int]:
+    """(size, hop, rows) of `process_bank`'s overlap-add blocks for a chain whose
+    impulse response has tail + 1 taps: the FFT size, a power of two; the hop,
+    size - tail rounded down to even; and the blocks per batch, about 0.5 MB per
+    complex buffer, so that a batch stays in a 2 MB L2 cache."""
+    # hop > tail, so a block's tail spills into the next block only
+    size = max(1024, 1 << (2 * tail + 2).bit_length())
+    return size, (size - tail) & ~1, max(1, 2**16 // size)
+
+
 def process_bank(bank: FilterBank, x) -> ProcessReport:
     """Run a signal through the full analyze / down-up sample / synthesize chain.
 
     The chain runs as overlap-add on FFT blocks of `size` samples, a power of
-    two, set by the filter lengths alone. Blocks start at even samples, so
-    down-sampling by 2 and then up-sampling by 2, which zeroes the odd samples,
-    is the spectral fold V = (S + conj(S[::-1])) / 2 on each block. Blocks run
-    in batches through two spectral buffers allocated once per call. `y` has
-    len(x) + len(h0) + len(h1) - 2 samples and agrees with direct convolution
-    to round-off. The reconstruction error is the max over the steady state,
-    scored batch by batch as each part of `y` becomes final: the `delay`
-    samples at each end of the signal are transients. A signal of at most
-    2 * delay samples has no steady state, and its `max_rel_error` is NaN.
+    two, set by the filter lengths alone (`_block_geometry`). Blocks start at
+    even samples, so down-sampling by 2 and then up-sampling by 2, which zeroes
+    the odd samples, is the spectral fold V = (S + conj(S[::-1])) / 2 on each
+    block. Blocks run in batches through spectral, output and score buffers
+    allocated once per call; each block's head is written to `y` and its tail
+    carried into the next block. `y` has len(x) + len(h0) + len(h1) - 2 samples
+    and agrees with direct convolution to round-off. The reconstruction error is
+    the max over the steady state, scored batch by batch as each part of `y`
+    becomes final: the `delay` samples at each end of the signal are transients.
+    A signal of at most 2 * delay samples has no steady state, and its
+    `max_rel_error` is NaN.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-D sequence")
     d, c = bank.delay, bank.scale
     tail = bank.h0.size + bank.h1.size - 2
-    # hop > tail, so a block's tail spills into the next block only
-    size = max(2048, 1 << (2 * tail + 2).bit_length())
-    hop = (size - tail) & ~1
+    size, hop, rows = _block_geometry(tail)
     blocks = -(-x.size // hop)
-    ys = np.zeros((blocks + 1, hop))
+    rows = min(rows, blocks)
+    # every element is written: the blocks' heads, then the last tail
+    y = np.empty(blocks * hop + tail)
+    ys = y[: blocks * hop].reshape(blocks, hop)
     H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
     # spectra of F0 = H1(-z) and F1 = -H0(-z), times the fold's 1/2 (exact)
     F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
-    rows = max(1, 2**17 // size)  # about 1 MB per spectral buffer
     # reused by every batch; the fold reverses into R, as in place forces a copy
-    S, R = np.empty((2, min(rows, blocks), size // 2 + 1), complex)
-    y = ys.reshape(-1)
+    X, S, R = np.empty((3, rows, size // 2 + 1), complex)
+    yb = np.empty((rows, size))
+    buf = np.empty(rows * hop)
+    carry = np.zeros(tail)
     peak, err = 0.0, 0.0
     for b in range(0, blocks, rows):
         r = min(rows, blocks - b)
@@ -166,23 +180,26 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValueError("signal samples must be finite")
         xb = seg if seg.size == r * hop else np.concatenate((seg, np.zeros(r * hop - seg.size)))
-        X = np.fft.rfft(xb.reshape(r, hop), size)
-        for H, F, V in ((H0, F0, S[:r]), (H1, F1, X)):
-            np.multiply(X, H, out=V)
+        np.fft.rfft(xb.reshape(r, hop), size, out=X[:r])
+        for H, F, V in ((H0, F0, S[:r]), (H1, F1, X[:r])):
+            np.multiply(X[:r], H, out=V)
             np.conjugate(V[:, ::-1], out=R[:r])
             np.add(V, R[:r], out=V)
             np.multiply(F, V, out=V)
-        np.add(S[:r], X, out=S[:r])
-        yb = np.fft.irfft(S[:r], size)
-        ys[b : b + r] += yb[:, :hop]
-        ys[b + 1 : b + r + 1, :tail] += yb[:, hop : hop + tail]
+        np.add(S[:r], X[:r], out=S[:r])
+        np.fft.irfft(S[:r], size, out=yb[:r])
+        ys[b : b + r] = yb[:r, :hop]
+        ys[b, :tail] += carry
+        ys[b + 1 : b + r, :tail] += yb[: r - 1, hop : hop + tail]
+        carry[:] = yb[r - 1, hop : hop + tail]
         # rows b .. b + r - 1 are final (the next batch reaches row b + r only)
         peak = max(peak, top, -bottom)
         lo, hi = max(2 * d, b * hop), min(x.size, (b + r) * hop)
         if lo < hi:
-            buf = np.multiply(x[lo - d : hi - d], c)
-            np.subtract(y[lo:hi], buf, out=buf)
-            err = np.maximum(err, np.abs(buf, out=buf).max())
+            e = np.multiply(x[lo - d : hi - d], c, out=buf[: hi - lo])
+            np.subtract(y[lo:hi], e, out=e)
+            err = np.maximum(err, np.abs(e, out=e).max())
+    y[blocks * hop :] = carry
     y = y[: x.size + tail]
     if 2 * d < x.size:
         max_rel = float(err) / (abs(c) * float(peak)) if peak > 0.0 else 0.0

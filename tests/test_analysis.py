@@ -12,6 +12,7 @@ from prqmf import poly
 from prqmf.analysis import (
     FilterBank,
     NoDelayFound,
+    _block_geometry,
     mse,
     process_bank,
     synthesis_filters,
@@ -177,15 +178,15 @@ class TestProcessBank:
         st.integers(0, 2**32 - 1),
     )
     def test_blocks_match_decimate_then_expand(self, lengths, data, seed):
-        # Block rule: size is a power of two >= 2048 and > 2 * tail + 2; the
-        # hop is size - tail rounded down to even; a batch has 2**17 // size
-        # blocks. The long pairs have tail > 1023, so size grows past 2048.
+        # Block rule (_block_geometry): size is a power of two >= 1024 and
+        # > 2 * tail + 2; the hop is size - tail rounded down to even; a batch
+        # has 2**16 // size blocks. Most long pairs have tail > 511, so size
+        # grows past 1024.
         rng = np.random.default_rng(seed)
         len0 = data.draw(st.integers(*lengths))
         h0, h1 = rng.uniform(-2, 2, len0), rng.uniform(-2, 2, len0 + data.draw(st.integers(*lengths)))
         tail = h0.size + h1.size - 2
-        size = max(2048, 1 << (2 * tail + 2).bit_length())
-        hop, rows = (size - tail) & ~1, 2**17 // size
+        _, hop, rows = _block_geometry(tail)
         blocks = data.draw(st.sampled_from([1, 2, 3, rows, rows + 1]))
         x = rng.uniform(-1, 1, max(1, blocks * hop + data.draw(st.integers(-1, 1))))
         y = process_bank(FilterBank(h0, h1), x).y
@@ -243,9 +244,7 @@ def stream_banks():
 
 def block_geometry(bank):
     """(hop, rows) of process_bank's block rule, for choosing signal lengths."""
-    tail = bank.h0.size + bank.h1.size - 2
-    size = max(2048, 1 << (2 * tail + 2).bit_length())
-    return (size - tail) & ~1, max(1, 2**17 // size)
+    return _block_geometry(bank.h0.size + bank.h1.size - 2)[1:]
 
 
 def draw_bank(data, rng, stream_banks):
@@ -261,19 +260,19 @@ def draw_bank(data, rng, stream_banks):
 
 
 def allocating_process_bank(bank, x):
-    """process_bank with a fresh staging array and fold temporaries for every
-    batch, scoring the steady state in one pass after the loop. The reused
-    buffers and per-batch score must give the same bits: (y, max_rel_error)."""
+    """process_bank with fresh FFT outputs and fold temporaries for every batch,
+    a zero-filled staging array that heads and tails are added into, and the
+    steady state scored in one pass after the loop. The reused buffers, written
+    heads, carried tails and per-batch score must give the same bits:
+    (y, max_rel_error)."""
     x = np.asarray(x, dtype=float)
     d, c = bank.delay, bank.scale
     tail = bank.h0.size + bank.h1.size - 2
-    size = max(2048, 1 << (2 * tail + 2).bit_length())
-    hop = (size - tail) & ~1
+    size, hop, rows = _block_geometry(tail)
     blocks = -(-x.size // hop)
     ys = np.zeros((blocks + 1, hop))
     H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
     F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
-    rows = max(1, 2**17 // size)
     for b in range(0, blocks, rows):
         seg = x[b * hop : (b + rows) * hop]
         xb = np.zeros((min(rows, blocks - b), hop))
@@ -376,6 +375,26 @@ class TestProcessBankBatches:
             report = process_bank(bank10, x)
         assert math.isnan(want_err) and math.isnan(report.max_rel_error)
         assert np.array_equal(report.y, want_y, equal_nan=True)
+
+    def test_no_stale_memory_reaches_y(self, stream_banks):
+        # y comes from np.empty and the batches from reused buffers, so memory
+        # that earlier calls freed (NaN from an overflow, another bank's
+        # samples) must never show through in a later call's y
+        bank10, bank40 = stream_banks
+        hop, rows = block_geometry(bank10)
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(3 * rows * hop)
+        x[rows * hop + 5] = 1.7e308
+        with np.errstate(all="ignore"):
+            assert np.isnan(process_bank(bank10, x).y).any()
+        process_bank(bank40, rng.standard_normal(8 * rows * hop))
+        toy = FilterBank([1.0, 2.0, 3.0, 2.0, 1.0], [-0.5, -1.0, -0.5])
+        for bank in (bank10, bank40, toy):
+            hop, rows = block_geometry(bank)
+            # the first y reaches into the last block's carried tail; the
+            # second ends before it
+            for n in (3 * rows * hop - 1, 3 * rows * hop + 5):
+                assert_same_bits(bank, rng.standard_normal(n))
 
 
 def test_bank_and_report_compare_by_identity(bank10):

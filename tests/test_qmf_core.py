@@ -15,6 +15,7 @@ from prqmf.qmf_core import (
     build_system,
     normalize_passband,
     solve,
+    solve_mate,
     unfold,
 )
 
@@ -234,3 +235,62 @@ class TestRankDeficientSystem:
         bank = design_bank(self.spec(n, window, delta, m))
         assert bank.max_spurious <= 1e-9
         assert bank.h1.size == 2 * n + 4 * m - 1
+
+
+def half_band(n, wp, ws, kind, param, m):
+    return DesignSpec(n=n, edges=BandEdges(wp, ws), window=WindowSpec(kind, param), m=m)
+
+
+# Half-band prototypes (centre pi/2) whose mate system LU met an exact zero
+# pivot with OpenBLAS's LAPACK: rank-deficient (sigma_min/sigma_max <= 1.1e-17)
+# but consistent, and the pure delay is a PR mate. The least-squares solution
+# must certify.
+EXACT_ZERO_PIVOT = [
+    half_band(81, 0.6840623201228501, 2.457530333466943, "gaussian", 3.0, 0),
+    half_band(71, 0.9083684706164117, 2.233224182973381, "gaussian", 2.5, 1),
+    half_band(89, 0.6495016239526158, 2.4920910296371774, "kaiser", 8.0, 1),
+    half_band(105, 0.16702323510164718, 2.974569418488146, "rectangular", None, 2),
+    half_band(32, 1.065626644824535, 2.075966008765258, "rectangular", None, 0),
+    half_band(47, 1.3707134414378153, 1.7708792121519779, "rectangular", None, 2),
+    half_band(59, 0.29656357113253384, 2.845029082457259, "rectangular", None, 1),
+    half_band(125, 1.3420503833297301, 1.799542270260063, "rectangular", None, 1),
+    half_band(66, 0.26677403947209855, 2.874818614117695, "hamming", None, 1),
+    half_band(103, 0.3821979026492077, 2.7593947509405856, "rectangular", None, 2),
+    half_band(71, 0.6399124037288154, 2.5016802498609776, "rectangular", None, 1),
+    half_band(99, 0.8099385640354019, 2.3316540895543914, "gaussian", 2.0, 1),
+    half_band(32, 1.0645404799034397, 2.0770521736863534, "hamming", None, 2),
+    half_band(58, 0.6348118332484807, 2.506780820341312, "rectangular", None, 2),
+    half_band(117, 1.3822888293276074, 1.7593038242621857, "rectangular", None, 2),
+    half_band(64, 1.171640626733021, 1.969952026856772, "kaiser", 6.0, 1),
+    half_band(53, 0.15772114369748436, 2.9838715098923085, "kaiser", 8.0, 1),
+]
+
+
+@pytest.mark.parametrize("spec", EXACT_ZERO_PIVOT, ids=lambda s: f"n{s.n}-{s.window.kind}-m{s.m}")
+class TestExactZeroPivot:
+    def test_design_bank_certifies(self, spec):
+        bank = design_bank(spec)
+        assert bank.max_spurious <= 1e-9
+        assert bank.delay == 2 * spec.n - 1 + 2 * spec.m
+        assert bank.h1.size == 2 * spec.n + 4 * spec.m - 1
+
+
+class TestSolveMate:
+    def test_inconsistent_system_names_residual_and_rank(self):
+        # [[1, 2], [2, 4]] x = [1, 0] has no solution: least squares leaves a residual
+        want = r"residual 8.000e-01 too large; inconsistent system, sigma_min/sigma_max = "
+        with pytest.raises(SingularSystem, match=want):
+            solve_mate((np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0])))
+
+    def test_zero_matrix_is_singular(self):
+        with pytest.raises(SingularSystem, match="sigma_min/sigma_max = 0.000e"):
+            basic_mate([1.0, 0.0, 1.0])
+
+    def test_consistent_singular_system_takes_minimum_norm(self):
+        # x1 + 2 x2 = 1 twice: the minimum-norm solution is (1, 2) / 5
+        x = solve_mate((np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1.0, 1.0])))
+        np.testing.assert_allclose(x, [0.2, 0.4], rtol=1e-14)
+
+    def test_regular_system_is_solve(self, toy_h0):
+        system = build_system(toy_h0)
+        assert np.array_equal(solve_mate(system), solve(system))
