@@ -3,10 +3,12 @@
 Given a symmetric low-pass H0 with 2n+1 taps, the product
 P(z) = H0(z) H1(-z) must have all odd-power coefficients zero except the
 central one. Folding the symmetry of H1 into the unknowns yields a dense
-n x n system for the 2n-1 tap mate. The system can be rank-deficient when
-H0(z) and H0(-z) nearly share zeros; LU then picks one solution (or, at an
-exact zero pivot, least squares picks the minimum-norm one), and the solve
-residual and the PR certificate decide whether it is accepted.
+n x n system for the 2n-1 tap mate. `solve` is the package's one linear
+solver, for this system and for the refinement's. The system can be
+rank-deficient when H0(z) and H0(-z) nearly share zeros; LU then picks one
+solution (or, at an exact zero pivot, least squares picks the minimum-norm
+one), and the solve residual and the PR certificate decide whether it is
+accepted.
 """
 
 from __future__ import annotations
@@ -51,43 +53,23 @@ def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """LAPACK LU with partial pivoting on a (matrix, rhs) pair (the mate's taps, or
-    the refinement's E), accepted only on a small residual in every rhs column."""
-    a, b = _square(system)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return _gate(a, b, x, "system is ill-conditioned")
-
-
-def solve_mate(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """`solve` for the mate system. Where LU meets an exact zero pivot the system is
-    rank-deficient but may be consistent (a half-band prototype has the pure delay
-    as a mate), so LAPACK's minimum-norm least-squares solution goes through the
-    same residual gate, and the PR certificate decides."""
-    a, b = _square(system)
+    """LAPACK LU with partial pivoting on a square (matrix, rhs) pair: the mate's taps, or
+    the refinement's [rhs | I]. Where LU meets an exact zero pivot the system is
+    rank-deficient but may be consistent (a half-band prototype has the pure delay as a
+    mate), so LAPACK's minimum-norm least-squares solution is taken instead. Either is
+    accepted only on a small residual in every rhs column."""
+    a, b = system
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[0]
+    # Least squares would also "solve" a rectangular system; refuse one here.
+    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
+        raise ValueError("system must be square with a matching rhs")
     try:
         x, why = np.linalg.solve(a, b), "system is ill-conditioned"
     except np.linalg.LinAlgError:
         x, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
         ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0  # 0 for the zero matrix
         why = f"inconsistent system, sigma_min/sigma_max = {ratio:.3e}"
-    return _gate(a, b, x, why)
-
-
-def _square(system: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The (matrix, rhs) pair as float arrays; ValueError unless square and matching."""
-    a, b = system
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
-        raise ValueError("system must be square with a matching rhs")
-    return a, b
-
-
-def _gate(a: np.ndarray, b: np.ndarray, x: np.ndarray, why: str) -> np.ndarray:
-    """x, if |a x - b| is within RESIDUAL_RTOL of max |b| in every rhs column."""
     r = a @ x
     r -= b
     residual = np.abs(r, out=r).max(axis=0)
@@ -122,4 +104,4 @@ def basic_mate(h0) -> np.ndarray:
     h0 = poly.require_symmetric(h0, "h0")
     if h0.size < 3:
         raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
-    return normalize_passband(unfold(solve_mate(build_system(h0))))
+    return normalize_passband(unfold(solve(build_system(h0))))

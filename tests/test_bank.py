@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prqmf import poly
+from prqmf import poly, qmf_core, refine
 from prqmf.analysis import NoDelayFound, verify_pr
 from prqmf.bank import design_bank
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
-from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate
+from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate, solve
 from prqmf.refine import RefinementSpec, SingularRefinement, default_zero_freqs, refine_h1
 
 DESIGN_ERRORS = (SingularSystem, DegeneratePassband, SingularRefinement, NoDelayFound)
@@ -34,6 +34,23 @@ def test_one_check_per_design(monkeypatch, m):
     assert bank.max_spurious <= 1e-9
     assert calls["require_symmetric"] == 1
     assert calls["as_poly"] <= 5
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_every_solve_is_qmf_core_solve(monkeypatch, m):
+    """The mate and the refinement both solve through qmf_core.solve, the name the
+    bench's tracer rebinds in every module that holds it."""
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return solve(system)
+
+    for module in (qmf_core, refine):
+        monkeypatch.setattr(module, "solve", counting)
+    bank = design_bank(DesignSpec(n=10, m=m))
+    assert bank.max_spurious <= 1e-9
+    assert len(calls) == (1 if m == 0 else 2)
 
 
 specs = st.builds(

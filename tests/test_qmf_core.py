@@ -15,7 +15,6 @@ from prqmf.qmf_core import (
     build_system,
     normalize_passband,
     solve,
-    solve_mate,
     unfold,
 )
 
@@ -275,22 +274,42 @@ class TestExactZeroPivot:
         assert bank.h1.size == 2 * spec.n + 4 * spec.m - 1
 
 
+HALF_BAND_WINDOWS = [WindowSpec("rectangular"), WindowSpec("hamming")] + [
+    WindowSpec(kind, param)
+    for kind, params in (("gaussian", (2.0, 2.5, 3.0)), ("kaiser", (4.0, 6.0, 8.0)))
+    for param in params
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 128),
+    delta=st.floats(0.01, 1.55),
+    window=st.sampled_from(HALF_BAND_WINDOWS),
+    m=st.integers(0, 2),
+)
+def test_half_band_mate_always_solves(n, delta, window, m):
+    """Half-band prototypes (centre pi/2), where LU can meet an exact zero pivot:
+    the mate solve never raises and the bank certifies."""
+    bank = design_bank(DesignSpec(n=n, edges=BandEdges.symmetric(delta), window=window, m=m))
+    assert bank.max_spurious <= 1e-9
+
+
 class TestSolveMate:
+    """`solve` where LU meets an exact zero pivot, as on the mate systems above:
+    LAPACK's minimum-norm least-squares solution, through the same residual gate."""
+
     def test_inconsistent_system_names_residual_and_rank(self):
         # [[1, 2], [2, 4]] x = [1, 0] has no solution: least squares leaves a residual
         want = r"residual 8.000e-01 too large; inconsistent system, sigma_min/sigma_max = "
         with pytest.raises(SingularSystem, match=want):
-            solve_mate((np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0])))
+            solve((np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0])))
 
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularSystem, match="sigma_min/sigma_max = 0.000e"):
-            basic_mate([1.0, 0.0, 1.0])
+            solve(build_system([1.0, 0.0, 1.0]))
 
     def test_consistent_singular_system_takes_minimum_norm(self):
         # x1 + 2 x2 = 1 twice: the minimum-norm solution is (1, 2) / 5
-        x = solve_mate((np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1.0, 1.0])))
+        x = solve((np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([1.0, 1.0])))
         np.testing.assert_allclose(x, [0.2, 0.4], rtol=1e-14)
-
-    def test_regular_system_is_solve(self, toy_h0):
-        system = build_system(toy_h0)
-        assert np.array_equal(solve_mate(system), solve(system))

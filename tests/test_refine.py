@@ -165,6 +165,16 @@ class TestStructure:
         assert "cond(C) = " in msg
         assert f"min singular value of C = {2 * math.cos(math.pi / 2):.3e}" in msg
 
+    def test_identical_cosine_rows_are_singular(self):
+        # zeros 0 and 1e-17 give bit-identical rows of C, and LU meets an exact zero
+        # pivot (with OpenBLAS's LAPACK); the least-squares [rhs | I] then fails the gate
+        h0 = design_h0(DesignSpec(n=8))
+        with pytest.raises(SingularRefinement) as exc:
+            refine_h1(h0, basic_mate(h0), RefinementSpec(2, (0.0, 1e-17)))
+        msg = str(exc.value)
+        assert f"min |A0(w_q)| = {abs(float(poly.amplitude(h0, 0.0))):.3e}" in msg
+        assert "cond(C) = " in msg
+
     def test_wrong_mate_length_rejected(self):
         h0, _ = certified_pair(6)
         with pytest.raises(ValueError):
