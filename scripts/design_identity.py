@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of prqmf design byte-identical banks.
+
+    python3 scripts/design_identity.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout is run in its own interpreter on the same designs: the 128
+points of `sweep.run_sweep` (each design it makes, and its scores) and the
+4,096 `design_long` specs of each of bench seeds 1-4, built by the NEW
+checkout's `bench/workloads.py`. For every design it
+compares h0, h1, delay, scale and max_spurious bit for bit, or the type and
+message of the exception raised. It prints one count per group and exits 1
+on any difference.
+"""
+
+from __future__ import annotations
+
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2, 3, 4)
+
+
+def outcome(design_bank, spec):
+    try:
+        bank = design_bank(spec)
+    except Exception as exc:  # a raise is an outcome to compare, not an error
+        return ("raised", type(exc).__name__, str(exc))
+    return (bank.h0.tobytes(), bank.h1.tobytes(), bank.delay, bank.scale.hex(), bank.max_spurious.hex())
+
+
+def record(lib_root: str, bench_root: str) -> dict[str, list]:
+    sys.path[:0] = [str(Path(lib_root) / "src"), str(Path(bench_root) / "bench")]
+    import prqmf.bank
+    import prqmf.sweep
+    from workloads import DesignLong
+
+    design_bank = prqmf.bank.design_bank
+    sweep_designs = []
+
+    def recorded(spec):  # a raise aborts run_sweep, and with it this check
+        sweep_designs.append(outcome(design_bank, spec))
+        return design_bank(spec)
+
+    prqmf.sweep.design_bank = recorded
+    scores = [(p.lowpass_db.hex(), p.highpass_db.hex()) for points in prqmf.sweep.run_sweep().values() for p in points]
+    groups = {"run_sweep designs": sweep_designs, "run_sweep scores": scores}
+    for seed in SEEDS:
+        specs = DesignLong(prqmf, seed, Path(".")).specs
+        groups[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs]
+    return groups
+
+
+def run(lib_root: str, bench_root: str) -> dict[str, list]:
+    out = subprocess.run(
+        [sys.executable, __file__, "--record", lib_root, bench_root], check=True, capture_output=True
+    ).stdout
+    return pickle.loads(out)
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--record"]:
+        sys.stdout.buffer.write(pickle.dumps(record(*argv[1:])))
+        return 0
+    old_root, new_root = argv
+    old, new = run(old_root, new_root), run(new_root, new_root)
+    same_everywhere = True
+    for group, want in old.items():
+        got = new[group]
+        same = sum(a == b for a, b in zip(want, got)) if len(want) == len(got) else 0
+        raised = sum(a[0] == "raised" for a in want)
+        print(f"{group}: {same} of {len(want)} identical, {raised} raised")
+        same_everywhere &= same == len(want)
+    print("identical" if same_everywhere else "DIFFERENT")
+    return 0 if same_everywhere else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

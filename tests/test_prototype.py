@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from prqmf.prototype import (
 )
 
 EDGES = BandEdges(0.4 * math.pi, 0.6 * math.pi)
+# A long-design sweep: 8 window settings at every n = 32..128 are 776 keys.
+SWEEP_WINDOWS = (
+    [WindowSpec("rectangular"), WindowSpec("hamming")]
+    + [WindowSpec("gaussian", alpha) for alpha in (2.0, 2.5, 3.0)]
+    + [WindowSpec("kaiser", beta) for beta in (4.0, 6.0, 8.0)]
+)
+SWEEP_LENGTHS = range(65, 258, 2)
 
 
 def scalar_tap(edges, k):
@@ -50,6 +58,24 @@ class TestTrapezoidTaps:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             trapezoid_taps(EDGES, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 128),
+        st.lists(st.floats(1e-6, math.pi - 1e-6), min_size=2, max_size=2, unique=True),
+    )
+    def test_bytes_match_np_sinc(self, n, band):
+        # the squared-sinc difference as written before, through np.sinc
+        edges = BandEdges(*sorted(band))
+        denom = 2.0 * math.pi * (edges.ws - edges.wp)
+        c0 = edges.ws**2 / denom
+        b0 = edges.wp**2 / denom
+        k = np.arange(-n, n + 1)
+        want = c0 * np.sinc(edges.ws * k / (2 * math.pi)) ** 2 - b0 * np.sinc(edges.wp * k / (2 * math.pi)) ** 2
+        taps = trapezoid_taps(edges, n)
+        assert taps.tobytes() == want.tobytes()
+        assert taps[n] == c0 - b0
+        assert taps.tobytes() == taps[::-1].tobytes()
 
 
 class TestBandEdges:
@@ -121,9 +147,32 @@ class TestWindows:
         assert window_weights(spec, length) is w
 
     def test_cache_is_bounded(self):
-        # 128 windows of 257 taps are 0.26 MB; unbounded, a long run of
-        # seeded designs kept hundreds
-        assert window_weights.cache_info().maxsize == 128
+        # 1024 windows hold a long-design sweep (776 keys); unbounded, a long
+        # run of seeded designs kept every key it met
+        assert window_weights.cache_info().maxsize == 1024
+
+    def test_cache_holds_a_long_design_sweep(self):
+        for _ in range(2):
+            misses = window_weights.cache_info().misses
+            for spec in SWEEP_WINDOWS:
+                for length in SWEEP_LENGTHS:
+                    window_weights(spec, length)
+        assert window_weights.cache_info().misses == misses
+
+    def test_full_cache_stays_within_its_stated_size(self):
+        # 1024 windows of 257 taps are 2.1 MB of weights, under 2.6 MB with
+        # array headers and cache entries
+        window_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(1100):
+                window_weights(WindowSpec("gaussian", 1.0 + i / 1024), 257)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            window_weights.cache_clear()
+        assert held < 2.6e6
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
