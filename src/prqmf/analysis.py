@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import poly
-from .prototype import MSE_GRID_MIN, DesignSpec
+from .prototype import MSE_GRID_MIN, DesignSpec, _check_integer
 
 PR_TOL = 1e-9
 MSE_GRID_SIZE = 1024
@@ -215,8 +215,7 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
     target is 1 in the passband, 0 in the stopband, and 0.5 at the pi/2
     cutoff, which the grid hits when G is odd (2k = G - 1).
     """
-    if grid_size < MSE_GRID_MIN:
-        raise ValueError(f"grid_size must be >= {MSE_GRID_MIN}")
+    _check_integer(grid_size, MSE_GRID_MIN, "grid_size")
     if ideal not in ("lowpass", "highpass"):
         raise ValueError("ideal must be 'lowpass' or 'highpass'")
     err = np.abs(poly.grid_response(filt, grid_size)) - _brick_wall(grid_size, ideal)
@@ -247,7 +246,7 @@ def validate_case_a(h0, h1) -> tuple[bool, list[str]]:
     for name, f in (("h0", h0), ("h1", h1)):
         if f.size % 2 == 0:
             reasons.append(f"{name} has even length {f.size}")
-        elif not poly.is_symmetric(f):
+        elif not poly._symmetric(f):
             reasons.append(f"{name} is not mirror-symmetric")
     diff = abs(h1.size - h0.size)
     if diff % 4 != 2:

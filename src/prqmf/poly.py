@@ -49,13 +49,8 @@ def grid_response(p, grid_size: int) -> np.ndarray:
     return np.fft.rfft(p, period)
 
 
-def is_symmetric(p) -> bool:
-    """True for odd-length mirror-symmetric coefficient sequences."""
-    return _symmetric(as_poly(p))
-
-
 def _symmetric(p: np.ndarray) -> bool:
-    """is_symmetric on an array a public entry point has already validated."""
+    """True for an odd-length mirror-symmetric array that `as_poly` has already validated."""
     d = p - p[::-1]
     return p.size % 2 == 1 and bool(np.abs(d, out=d).max() <= SYMMETRY_RTOL * np.abs(p).max())
 

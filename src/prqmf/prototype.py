@@ -17,10 +17,18 @@ WINDOW_KINDS = ("rectangular", "hamming", "gaussian", "kaiser")
 
 GAUSSIAN_DEFAULT_ALPHA = 2.5
 KAISER_DEFAULT_BETA = 6.0
+# The gaussian window squares alpha * x with |x| <= 1, which overflows above sqrt(DBL_MAX).
+GAUSSIAN_ALPHA_MAX = math.sqrt(np.finfo(float).max)
 # np.i0(beta) computes exp(beta), which overflows above log(DBL_MAX) = 709.78.
 KAISER_BETA_MAX = float(np.log(np.finfo(float).max))
 # Smallest frequency grid a design is scored on (`analysis.mse`).
 MSE_GRID_MIN = 64
+
+
+def _check_integer(value, low: int, name: str) -> None:
+    """Raise ValueError unless value is an int or NumPy integer >= low (4.0 and True are not)."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +63,11 @@ class WindowSpec:
         if self.param is not None:
             if self.kind in ("rectangular", "hamming"):
                 raise ValueError(f"the {self.kind} window takes no parameter, got {self.param}")
-            if self.kind == "gaussian" and not 0 < self.param < math.inf:
-                raise ValueError(f"gaussian width alpha must be finite and > 0, got {self.param}")
+            if self.kind == "gaussian" and not 0 < self.param <= GAUSSIAN_ALPHA_MAX:
+                raise ValueError(
+                    f"gaussian width alpha must be finite in (0, {GAUSSIAN_ALPHA_MAX:.4g}], "
+                    f"got {self.param}"
+                )
             if self.kind == "kaiser" and not 0 <= self.param <= KAISER_BETA_MAX:
                 raise ValueError(
                     f"kaiser beta must be finite in [0, {KAISER_BETA_MAX:.2f}], got {self.param}"
@@ -81,12 +92,9 @@ class DesignSpec:
     zero_freqs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("half-order n must be >= 1")
-        if self.m < 0:
-            raise ValueError("refinement order m must be >= 0")
-        if self.grid_size < MSE_GRID_MIN:
-            raise ValueError(f"grid_size must be >= {MSE_GRID_MIN}")
+        _check_integer(self.n, 1, "half-order n")
+        _check_integer(self.m, 0, "refinement order m")
+        _check_integer(self.grid_size, MSE_GRID_MIN, "grid_size")
         if self.zero_freqs is not None:
             object.__setattr__(self, "zero_freqs", tuple(float(w) for w in self.zero_freqs))
             if len(self.zero_freqs) != self.m:
@@ -101,8 +109,7 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     The frequency response of the ideal version is a trapezoid: unit gain
     up to wp, linear fall to zero at ws.
     """
-    if n < 1:
-        raise ValueError("half-order n must be >= 1")
+    _check_integer(n, 1, "half-order n")
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
     # sinc(x) = sin(pi x) / (pi x) at x = w k / (2 pi), rounded as np.sinc
     # rounds it but without its wrapper's temporaries. At k = 0 a tiny

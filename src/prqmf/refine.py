@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .prototype import BandEdges
+from .prototype import BandEdges, _check_integer
 from .qmf_core import SingularSystem, normalize_passband, solve
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
@@ -36,8 +36,7 @@ class RefinementSpec:
     zero_freqs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("refinement order m must be >= 1")
+        _check_integer(self.m, 1, "refinement order m")
         freqs = tuple(float(w) for w in self.zero_freqs)
         if len(freqs) != self.m:
             raise ValueError(f"need exactly m={self.m} zero frequencies, got {len(freqs)}")
@@ -50,8 +49,7 @@ class RefinementSpec:
 
 def default_zero_freqs(m: int, edges: BandEdges) -> tuple[float, ...]:
     """Equispaced zeros q*wp/m from DC across the high-pass stop band [0, wp]."""
-    if m < 1:
-        raise ValueError("refinement order m must be >= 1")
+    _check_integer(m, 1, "refinement order m")
     return tuple(q * edges.wp / m for q in range(m))
 
 
@@ -70,26 +68,13 @@ def build_e(free) -> np.ndarray:
     return e
 
 
-def _checked_pair(h0, h1) -> tuple[np.ndarray, np.ndarray]:
-    """The check of both public entry points: symmetric h0 and its 2n-1 tap mate h1."""
-    h0, h1 = poly.require_symmetric(h0, "h0"), poly.require_symmetric(h1, "h1")
-    if h1.size != h0.size - 2:
-        raise ValueError("h1 must be the 2n-1 tap mate of h0")
-    return h0, h1
-
-
-def solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
-    """Free coefficients of E forcing amplitude zeros at spec.zero_freqs.
+def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
+    """Free coefficients of E forcing amplitude zeros at spec.zero_freqs, on a checked pair.
 
     Both terms of the refined filter are symmetric about n+2m-1, so its amplitude
     is A1(w) + A0(w) sum_j c_j 2 cos((2m-1-2j) w), A0 and A1 taken about the
     centres of h0 and h1: mat = diag(A0(w_q)) C with C[q, j] = 2 cos((2m-1-2j) w_q).
     """
-    return _solve_correction(*_checked_pair(h0, h1), spec)
-
-
-def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
-    """solve_correction on a checked pair."""
     n, m = h0.size // 2, spec.m
     # cos(k w) for k = -n..n; h1's taps sit at k = -(n-1)..n-1 about its centre.
     cos_k = np.cos(np.multiply.outer(spec.zero_freqs, np.arange(-n, n + 1)))
@@ -120,7 +105,10 @@ def refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarra
     normalize=False skips the passband renormalization and returns the raw
     z^(-2m) H1 + E H0 sum, useful for closed-form cross-checks.
     """
-    return _refine_h1(*_checked_pair(h0, h1), spec, normalize)
+    h0, h1 = poly.require_symmetric(h0, "h0"), poly.require_symmetric(h1, "h1")
+    if h1.size != h0.size - 2:
+        raise ValueError("h1 must be the 2n-1 tap mate of h0")
+    return _refine_h1(h0, h1, spec, normalize)
 
 
 def _refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarray:

@@ -437,6 +437,11 @@ class TestMse:
         with pytest.raises(ValueError):
             mse([1.0], "lowpass", 32)
 
+    def test_non_integer_grid_rejected(self):
+        # 100.5 used to fail with TypeError in the FFT
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            mse([1.0], "lowpass", 100.5)
+
 
 class TestValidateCaseA:
     def test_basic_pair(self, bank10):

@@ -117,6 +117,15 @@ class TestDesign:
             assert "kaiser beta must be finite" in err
             assert not out.exists()
 
+    def test_huge_gaussian_alpha_is_usage_error(self, tmp_path, capsys):
+        # (alpha * x) ** 2 overflows above sqrt(DBL_MAX) = 1.34e154
+        code, out = design(tmp_path, "--window", "gauss", "--window-param", "1e200", n=10)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert "gaussian width alpha must be finite" in err
+        assert not out.exists()
+
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["design", "--n", "not-an-int", "--out", str(tmp_path / "b.json")])

@@ -116,6 +116,7 @@ class TestValidation:
             poly.as_poly([math.inf])
 
     def test_symmetry_check(self):
-        assert poly.is_symmetric([1.0, 2.0, 1.0])
-        assert not poly.is_symmetric([1.0, 2.0])
-        assert not poly.is_symmetric([1.0, 2.0, 1.1])
+        assert np.array_equal(poly.require_symmetric([1.0, 2.0, 1.0]), [1.0, 2.0, 1.0])
+        for asymmetric in ([1.0, 2.0], [1.0, 2.0, 1.1]):
+            with pytest.raises(ValueError, match="mirror symmetry"):
+                poly.require_symmetric(asymmetric)

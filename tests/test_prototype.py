@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prqmf import poly
+from prqmf.bank import design_bank
 from prqmf.prototype import (
+    GAUSSIAN_ALPHA_MAX,
     BandEdges,
     DesignSpec,
     WindowSpec,
@@ -58,6 +61,11 @@ class TestTrapezoidTaps:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             trapezoid_taps(EDGES, 0)
+
+    def test_rejects_non_integer_n(self):
+        # 4.0 used to fail with IndexError
+        with pytest.raises(ValueError, match="half-order n must be an integer"):
+            trapezoid_taps(EDGES, 4.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -115,6 +123,15 @@ class TestWindows:
         assert w[5] == 1.0
         assert np.array_equal(w, w[::-1])
         assert np.all((w > 0) & (w <= 1))
+
+    def test_largest_gaussian_alpha_designs_without_a_warning(self):
+        # every tap but the centre one gets exp(-huge) = 0, so h0 is a unit impulse
+        spec = DesignSpec(n=10, window=WindowSpec("gaussian", GAUSSIAN_ALPHA_MAX))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = design_bank(spec)
+        assert np.array_equal(bank.h0, np.eye(1, 21, 10)[0])
+        assert bank.max_spurious <= 1e-9
 
     def test_kaiser_matches_numpy(self):
         # numpy.kaiser is an independent implementation of the same window
@@ -197,8 +214,9 @@ class TestWindows:
             for param in (math.nan, math.inf, -math.inf)
             for kind, name in (("gaussian", "alpha"), ("kaiser", "beta"))
         ]
-        # np.i0(beta) overflows above 709.78
-        + [("kaiser", "beta", 710.0), ("kaiser", "beta", 1000.0)],
+        # np.i0(beta) overflows above 709.78, and (alpha * x) ** 2 above sqrt(DBL_MAX)
+        + [("kaiser", "beta", 710.0), ("kaiser", "beta", 1000.0), ("gaussian", "alpha", 1e200)]
+        + [("gaussian", "alpha", float(np.nextafter(GAUSSIAN_ALPHA_MAX, math.inf)))],
     )
     def test_non_finite_param_names_the_parameter(self, kind, name, param):
         with pytest.raises(ValueError, match=f"{kind} .*{name} must be finite"):
@@ -213,6 +231,29 @@ class TestDesignSpec:
             DesignSpec(n=4, m=-1)
         with pytest.raises(ValueError):
             DesignSpec(n=4, grid_size=32)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DesignSpec(n=4.0),
+            lambda: DesignSpec(n=10.5),
+            lambda: DesignSpec(n=True),
+            lambda: DesignSpec(n="10"),
+            lambda: DesignSpec(n=10, m=1.0),
+            lambda: DesignSpec(n=10, m=np.float64(2.0)),
+            lambda: DesignSpec(n=10, grid_size=100.5),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, make):
+        # 4.0 used to construct and fail later with IndexError, m=1.0 with TypeError,
+        # and grid_size=100.5 with TypeError in the FFT that scores the design
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = DesignSpec(n=np.int64(10), m=np.int32(2), grid_size=np.int64(512))
+        assert spec == DesignSpec(n=10, m=2, grid_size=512)
+        assert np.array_equal(design_h0(spec), design_h0(DesignSpec(n=10, m=2)))
 
 
 specs = st.builds(
@@ -253,7 +294,7 @@ class TestDesignH0:
     def test_symmetric_odd_for_every_spec(self, spec):
         h0 = design_h0(spec)
         assert h0.size == 2 * spec.n + 1
-        assert poly.is_symmetric(h0)
+        poly.require_symmetric(h0)
 
     @settings(max_examples=40, deadline=None)
     @given(specs)

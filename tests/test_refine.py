@@ -12,10 +12,10 @@ from prqmf.refine import (
     SINGULAR_RTOL,
     RefinementSpec,
     SingularRefinement,
+    _solve_correction,
     build_e,
     default_zero_freqs,
     refine_h1,
-    solve_correction,
 )
 
 TOY_REFINED = np.array([1 / 9, 2 / 9, -1 / 18, -5 / 9, -1 / 18, 2 / 9, 1 / 9])
@@ -59,6 +59,11 @@ class TestDefaultZeroFreqs:
         with pytest.raises(ValueError):
             default_zero_freqs(0, BandEdges.symmetric())
 
+    def test_non_integer_m_rejected(self):
+        # 2.0 used to fail with TypeError from range()
+        with pytest.raises(ValueError, match="refinement order m must be an integer"):
+            default_zero_freqs(2.0, BandEdges.symmetric())
+
 
 class TestRefinementSpec:
     def test_count_mismatch(self):
@@ -73,10 +78,19 @@ class TestRefinementSpec:
         with pytest.raises(ValueError):
             RefinementSpec(1, (math.pi,))
 
+    @pytest.mark.parametrize("m", [1.0, 1.5, True, np.float64(1.0)])
+    def test_non_integer_order_rejected(self, m):
+        with pytest.raises(ValueError, match="refinement order m must be an integer"):
+            RefinementSpec(m, (0.0,))
+
+    def test_numpy_integer_order_accepted(self):
+        spec = RefinementSpec(np.int64(2), (0.0, 0.5))
+        assert spec == RefinementSpec(2, (0.0, 0.5))
+
 
 class TestToyRefinement:
     def test_closed_form_coefficient(self, toy_h0, toy_h1):
-        free = solve_correction(toy_h0, toy_h1, RefinementSpec(1, (0.0,)))
+        free = _solve_correction(toy_h0, toy_h1, RefinementSpec(1, (0.0,)))
         assert free[0] == pytest.approx(1 / 9, abs=1e-15)
         # spec'd closed form for a DC zero
         assert free[0] == pytest.approx(-toy_h1.sum() / (2 * toy_h0.sum()), abs=1e-15)
@@ -131,7 +145,7 @@ class TestStructure:
         spec = RefinementSpec(m, default_zero_freqs(m, edges))
         h1p = refine_h1(h0, h1, spec)
         assert h1p.size == 2 * 8 + 4 * m - 1
-        assert poly.is_symmetric(h1p)
+        poly.require_symmetric(h1p)
         amps = poly.amplitude(h1p, np.array(spec.zero_freqs))
         assert np.all(np.abs(amps) <= 1e-10 * np.abs(h1p).max())
 
@@ -139,7 +153,7 @@ class TestStructure:
         # independent reference: a DC zero of z^-2 H1 + c (1 + z^-2) H0 needs
         # H1(1) + 2 c H0(1) = 0, i.e. c = -H1(1) / (2 H0(1))
         h0, h1 = certified_pair(6, WindowSpec("hamming"))
-        dense = solve_correction(h0, h1, RefinementSpec(1, (0.0,)))
+        dense = _solve_correction(h0, h1, RefinementSpec(1, (0.0,)))
         assert dense[0] == pytest.approx(-h1.sum() / (2 * h0.sum()), rel=1e-12)
 
     def test_near_duplicate_zeros_are_singular(self):
@@ -158,7 +172,7 @@ class TestStructure:
         # mat = diag(A0(w)) C; at pi/2 the cosine column 2 cos(w) vanishes
         h0, h1 = certified_pair(10)
         with pytest.raises(SingularRefinement) as exc:
-            solve_correction(h0, h1, RefinementSpec(1, (math.pi / 2,)))
+            refine_h1(h0, h1, RefinementSpec(1, (math.pi / 2,)))
         msg = str(exc.value)
         a0 = abs(float(poly.amplitude(h0, math.pi / 2)))
         assert f"min |A0(w_q)| = {a0:.3e}" in msg
@@ -179,6 +193,29 @@ class TestStructure:
         h0, _ = certified_pair(6)
         with pytest.raises(ValueError):
             refine_h1(h0, np.array([1.0, 2.0, 1.0]), RefinementSpec(1, (0.0,)))
+
+    @pytest.mark.parametrize(
+        "name, fault, message",
+        [
+            ("h0", "asymmetric", "h0 must have odd length and mirror symmetry"),
+            ("h1", "asymmetric", "h1 must have odd length and mirror symmetry"),
+            ("h1", "even-length", "h1 must have odd length and mirror symmetry"),
+            ("h0", "nan", "finite"),
+            ("h1", "nan", "finite"),
+        ],
+    )
+    def test_malformed_pair_rejected(self, name, fault, message):
+        pair = dict(zip(("h0", "h1"), certified_pair(6)))
+        h = pair[name].copy()
+        if fault == "asymmetric":
+            h[0] += 1.0
+        elif fault == "nan":
+            h[h.size // 2] = np.nan
+        else:
+            h = np.append(h, h[0])
+        pair[name] = h
+        with pytest.raises(ValueError, match=message):
+            refine_h1(pair["h0"], pair["h1"], RefinementSpec(1, (0.0,)))
 
 
 def convolution_system(h0, h1, spec):
@@ -219,7 +256,7 @@ class TestClosedFormSystem:
         inv_norm = np.linalg.cond(mat, 1) / np.linalg.norm(mat, 1)
         singular = 1.0 / inv_norm <= SINGULAR_RTOL * np.abs(h0).sum()
         try:
-            free = solve_correction(h0, h1, spec)
+            free = _solve_correction(h0, h1, spec)
         except SingularRefinement:
             assert singular
             return
