@@ -80,12 +80,11 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class ResponseMetrics:
-    """MSE against an ideal brick-wall response, plus -10 log10(MSE)."""
+    """MSE against an ideal brick-wall response, -10 log10(MSE), and the grid it was taken on."""
 
     mse: float
     db: float
     grid_size: int
-    ideal: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +220,7 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
     err = np.abs(poly.grid_response(filt, grid_size)) - _brick_wall(grid_size, ideal)
     value = float(err @ err) / grid_size
     db = -10.0 * math.log10(value) if value > 0.0 else math.inf
-    return ResponseMetrics(mse=value, db=db, grid_size=grid_size, ideal=ideal)
+    return ResponseMetrics(mse=value, db=db, grid_size=grid_size)
 
 
 @lru_cache(maxsize=8)

@@ -62,17 +62,15 @@ def require_symmetric(p, name: str = "filter") -> np.ndarray:
     return p
 
 
-def amplitude(p, omegas, center: int | None = None):
-    """Zero-phase amplitude A(w) about `center` (default: array midpoint).
+def amplitude(p, omegas):
+    """Zero-phase amplitude A(w) about the midpoint of an odd-length p.
 
-    For p symmetric about `center`, the response is e^{-j w center} A(w),
+    For p symmetric about its midpoint c, the response is e^{-j w c} A(w),
     so A is real and carries the sign information the magnitude loses.
     """
     p = as_poly(p)
-    if center is None:
-        if p.size % 2 == 0:
-            raise ValueError("amplitude needs odd length or an explicit center")
-        center = (p.size - 1) // 2
+    if p.size % 2 == 0:
+        raise ValueError("amplitude needs an odd-length filter")
     w = np.asarray(omegas, dtype=float)
-    k = np.arange(p.size) - center
+    k = np.arange(p.size) - (p.size - 1) // 2
     return np.cos(np.multiply.outer(w, k)) @ p

@@ -158,6 +158,9 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
 def design_h0(spec: DesignSpec) -> np.ndarray:
     """Windowed trapezoid prototype, scaled to unit gain at w=0; symmetric by construction."""
     taps = trapezoid_taps(spec.edges, spec.n) * window_weights(spec.window, 2 * spec.n + 1)
+    # The taps are symmetric, so one half holds the largest off-centre tap.
+    if np.abs(taps[: spec.n]).max() <= 1e-9 * abs(taps[spec.n]):
+        raise ValueError("degenerate prototype: the window leaves only the centre tap")
     dc = taps.sum()
     if abs(dc) <= 1e-9:
         raise ValueError("degenerate prototype: DC gain vanishes before normalization")

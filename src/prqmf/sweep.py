@@ -15,6 +15,7 @@ prototype band shifted above pi/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,18 +51,19 @@ REFERENCES = (
 
 @dataclass(frozen=True)
 class SweepPoint:
-    reference: str
+    """One scored design of the sweep; its errors are derived from `ref`'s targets."""
+
+    ref: ReferenceConfig
     center: float
     delta: float
     param: float | None
     lowpass_db: float
     highpass_db: float
-    lowpass_err: float
-    highpass_err: float
 
     @property
     def worst_err(self) -> float:
-        return max(self.lowpass_err, self.highpass_err)
+        ref = self.ref
+        return max(abs(self.lowpass_db - ref.lowpass_db), abs(self.highpass_db - ref.highpass_db))
 
     def within(self) -> bool:
         return self.worst_err <= DB_TOL
@@ -70,34 +72,15 @@ class SweepPoint:
 def run_sweep(grid_size: int = 1024) -> dict[str, list[SweepPoint]]:
     results: dict[str, list[SweepPoint]] = {}
     for ref in REFERENCES:
-        points = []
-        for center in CENTERS:
-            for delta in DELTAS:
-                edges = BandEdges((center - delta) * math.pi, (center + delta) * math.pi)
-                for param in ref.params:
-                    spec = DesignSpec(
-                        n=ref.n,
-                        edges=edges,
-                        window=WindowSpec(ref.window, param),
-                        m=ref.m,
-                        grid_size=grid_size,
-                    )
-                    bank = design_bank(spec)
-                    low = analysis.mse(bank.h0, "lowpass", grid_size).db
-                    high = analysis.mse(bank.h1, "highpass", grid_size).db
-                    points.append(
-                        SweepPoint(
-                            reference=ref.name,
-                            center=center,
-                            delta=delta,
-                            param=param,
-                            lowpass_db=low,
-                            highpass_db=high,
-                            lowpass_err=abs(low - ref.lowpass_db),
-                            highpass_err=abs(high - ref.highpass_db),
-                        )
-                    )
-        results[ref.name] = points
+        points = results[ref.name] = []
+        for center, delta, param in itertools.product(CENTERS, DELTAS, ref.params):
+            edges = BandEdges((center - delta) * math.pi, (center + delta) * math.pi)
+            window = WindowSpec(ref.window, param)
+            spec = DesignSpec(n=ref.n, edges=edges, window=window, m=ref.m, grid_size=grid_size)
+            bank = design_bank(spec)
+            low = analysis.mse(bank.h0, "lowpass", grid_size).db
+            high = analysis.mse(bank.h1, "highpass", grid_size).db
+            points.append(SweepPoint(ref, center, delta, param, low, high))
     return results
 
 

@@ -126,6 +126,15 @@ class TestDesign:
         assert "gaussian width alpha must be finite" in err
         assert not out.exists()
 
+    def test_impulse_prototype_is_usage_error(self, tmp_path, capsys):
+        # alpha 1000 zeroes every window weight but the centre one
+        code, out = design(tmp_path, "--window", "gauss", "--window-param", "1000", n=10)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert "the window leaves only the centre tap" in err
+        assert not out.exists()
+
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["design", "--n", "not-an-int", "--out", str(tmp_path / "b.json")])
@@ -250,7 +259,7 @@ class TestMetrics:
 
     def test_infinite_db_printed_as_inf(self, tmp_path, capsys, monkeypatch):
         _, bankfile = design(tmp_path)
-        perfect = analysis.ResponseMetrics(0.0, math.inf, 1024, "lowpass")
+        perfect = analysis.ResponseMetrics(0.0, math.inf, 1024)
         monkeypatch.setattr(analysis, "mse", lambda *a, **k: perfect)
         assert main(["metrics", str(bankfile)]) == 0
         assert "db=inf" in capsys.readouterr().out

@@ -89,7 +89,7 @@ class TestAmplitude:
     def test_negative_dc(self):
         assert poly.amplitude([-0.5, -1.0, -0.5], 0.0) == pytest.approx(-2.0)
 
-    def test_even_length_needs_center(self):
+    def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             poly.amplitude([1.0, 1.0], 0.5)
 

@@ -124,14 +124,13 @@ class TestWindows:
         assert np.array_equal(w, w[::-1])
         assert np.all((w > 0) & (w <= 1))
 
-    def test_largest_gaussian_alpha_designs_without_a_warning(self):
-        # every tap but the centre one gets exp(-huge) = 0, so h0 is a unit impulse
+    def test_largest_gaussian_alpha_rejected_without_a_warning(self):
+        # every tap but the centre one gets exp(-huge) = 0: no band split is left
         spec = DesignSpec(n=10, window=WindowSpec("gaussian", GAUSSIAN_ALPHA_MAX))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bank = design_bank(spec)
-        assert np.array_equal(bank.h0, np.eye(1, 21, 10)[0])
-        assert bank.max_spurious <= 1e-9
+            with pytest.raises(ValueError, match="only the centre tap"):
+                design_bank(spec)
 
     def test_kaiser_matches_numpy(self):
         # numpy.kaiser is an independent implementation of the same window

@@ -221,15 +221,15 @@ class TestStructure:
 def convolution_system(h0, h1, spec):
     """The zero-forcing system built term by term: column j is the amplitude
     of (z^(-2j) + z^(-(4m-2-2j))) H0(z), and the rhs that of z^(-2m) H1(z),
-    all about the shared centre n+2m-1 of the refined filter."""
+    all about the shared centre n+2m-1 of the refined filter, the midpoint of
+    each of these 2n+4m-1-tap arrays."""
     n, m = (h0.size - 1) // 2, spec.m
-    center = n + 2 * m - 1
     shifted = np.zeros(2 * n + 4 * m - 1)
     shifted[2 * m : 2 * m + h1.size] = h1
     w = np.array(spec.zero_freqs)
     cols = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
-    mat = np.column_stack([poly.amplitude(g, w, center=center) for g in cols])
-    return mat, -poly.amplitude(shifted, w, center=center)
+    mat = np.column_stack([poly.amplitude(g, w) for g in cols])
+    return mat, -poly.amplitude(shifted, w)
 
 
 WINDOWS = [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]
