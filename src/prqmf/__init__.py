@@ -16,7 +16,7 @@ from .analysis import (
 from .bank import design_bank
 from .prototype import BandEdges, DesignSpec, WindowSpec, design_h0
 from .qmf_core import DegeneratePassband, SingularSystem, basic_mate
-from .refine import RefinementSpec, SingularRefinement, default_zero_freqs, refine_h1
+from .refine import SingularRefinement, default_zero_freqs, refine_h1
 
 __all__ = [
     "BandEdges",
@@ -26,7 +26,6 @@ __all__ = [
     "NoDelayFound",
     "PrReport",
     "ProcessReport",
-    "RefinementSpec",
     "ResponseMetrics",
     "SingularRefinement",
     "SingularSystem",

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from . import analysis
 from .prototype import DesignSpec, design_h0
-from .qmf_core import basic_mate
-from .refine import RefinementSpec, _refine_h1, default_zero_freqs
+from .qmf_core import basic_mate, normalize_passband
+from .refine import _refine_h1, default_zero_freqs
 
 
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
@@ -15,7 +15,7 @@ def design_bank(spec: DesignSpec) -> analysis.FilterBank:
     zero_freqs: tuple[float, ...] = ()
     if spec.m >= 1:
         zero_freqs = spec.zero_freqs or default_zero_freqs(spec.m, spec.edges)
-        h1 = _refine_h1(h0, h1, RefinementSpec(spec.m, zero_freqs))
+        h1 = normalize_passband(_refine_h1(h0, h1, zero_freqs))
     bank = analysis.FilterBank(h0, h1, spec, zero_freqs)
     bank.certificate  # certify here, so NoDelayFound is raised by the design
     return bank

@@ -31,6 +31,18 @@ def _check_integer(value, low: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_zero_freqs(freqs, m: int) -> tuple[float, ...]:
+    """The zeros of an order-m refinement as floats: m of them, strictly increasing in [0, pi)."""
+    freqs = tuple(float(w) for w in freqs)
+    if len(freqs) != m:
+        raise ValueError(f"need exactly m={m} zero frequencies, got {len(freqs)}")
+    if any(not (0.0 <= w < math.pi) for w in freqs):
+        raise ValueError("zero frequencies must lie in [0, pi)")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise ValueError("zero frequencies must be strictly increasing")
+    return freqs
+
+
 @dataclass(frozen=True)
 class BandEdges:
     """Passband edge wp and stopband edge ws of the prototype, in radians."""
@@ -81,7 +93,7 @@ class DesignSpec:
     n is the half-order: the low-pass gets 2n+1 taps and its basic
     high-pass mate 2n-1. m is the refinement order (0 disables it).
     zero_freqs overrides the default stop-band zero placement and must
-    hold exactly m frequencies.
+    hold exactly m frequencies, strictly increasing in [0, pi).
     """
 
     n: int
@@ -96,11 +108,7 @@ class DesignSpec:
         _check_integer(self.m, 0, "refinement order m")
         _check_integer(self.grid_size, MSE_GRID_MIN, "grid_size")
         if self.zero_freqs is not None:
-            object.__setattr__(self, "zero_freqs", tuple(float(w) for w in self.zero_freqs))
-            if len(self.zero_freqs) != self.m:
-                raise ValueError(
-                    f"need exactly m={self.m} zero frequencies, got {len(self.zero_freqs)}"
-                )
+            object.__setattr__(self, "zero_freqs", _check_zero_freqs(self.zero_freqs, self.m))
 
 
 def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:

@@ -14,12 +14,11 @@ high-pass stop band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import poly
-from .prototype import BandEdges, _check_integer
+from .prototype import BandEdges, _check_integer, _check_zero_freqs
 from .qmf_core import SingularSystem, normalize_passband, solve
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
@@ -28,23 +27,6 @@ SINGULAR_RTOL = 1e-12
 
 class SingularRefinement(Exception):
     """The zero-forcing system is singular (e.g. coincident frequencies)."""
-
-
-@dataclass(frozen=True)
-class RefinementSpec:
-    m: int
-    zero_freqs: tuple[float, ...]
-
-    def __post_init__(self):
-        _check_integer(self.m, 1, "refinement order m")
-        freqs = tuple(float(w) for w in self.zero_freqs)
-        if len(freqs) != self.m:
-            raise ValueError(f"need exactly m={self.m} zero frequencies, got {len(freqs)}")
-        if any(not (0.0 <= w < math.pi) for w in freqs):
-            raise ValueError("zero frequencies must lie in [0, pi)")
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise ValueError("zero frequencies must be strictly increasing")
-        object.__setattr__(self, "zero_freqs", freqs)
 
 
 def default_zero_freqs(m: int, edges: BandEdges) -> tuple[float, ...]:
@@ -68,18 +50,18 @@ def build_e(free) -> np.ndarray:
     return e
 
 
-def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
-    """Free coefficients of E forcing amplitude zeros at spec.zero_freqs, on a checked pair.
+def _solve_correction(h0, h1, zero_freqs) -> np.ndarray:
+    """E's m = len(zero_freqs) free coefficients forcing amplitude zeros there, on checked inputs.
 
     Both terms of the refined filter are symmetric about n+2m-1, so its amplitude
     is A1(w) + A0(w) sum_j c_j 2 cos((2m-1-2j) w), A0 and A1 taken about the
     centres of h0 and h1: mat = diag(A0(w_q)) C with C[q, j] = 2 cos((2m-1-2j) w_q).
     """
-    n, m = h0.size // 2, spec.m
+    n, m = h0.size // 2, len(zero_freqs)
     # cos(k w) for k = -n..n; h1's taps sit at k = -(n-1)..n-1 about its centre.
-    cos_k = np.cos(np.multiply.outer(spec.zero_freqs, np.arange(-n, n + 1)))
+    cos_k = np.cos(np.multiply.outer(zero_freqs, np.arange(-n, n + 1)))
     a0 = cos_k @ h0
-    cos = 2.0 * np.cos(np.multiply.outer(spec.zero_freqs, np.arange(2 * m - 1, 0, -2)))
+    cos = 2.0 * np.cos(np.multiply.outer(zero_freqs, np.arange(2 * m - 1, 0, -2)))
     mat = a0[:, None] * cos
     rhs = -(cos_k[:, 1:-1] @ h1)
     # Coincident or unreachable zeros give a consistent singular system that LU
@@ -99,20 +81,20 @@ def _solve_correction(h0, h1, spec: RefinementSpec) -> np.ndarray:
     return sol[:, 0]
 
 
-def refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarray:
-    """Apply the correction; the result is symmetric with 2n+4m-1 taps.
-
-    normalize=False skips the passband renormalization and returns the raw
-    z^(-2m) H1 + E H0 sum, useful for closed-form cross-checks.
-    """
+def refine_h1(h0, h1, zero_freqs) -> np.ndarray:
+    """Passband-normalized mate with amplitude zeros at the m = len(zero_freqs) >= 1
+    zero_freqs, strictly increasing in [0, pi); symmetric with 2n+4m-1 taps."""
     h0, h1 = poly.require_symmetric(h0, "h0"), poly.require_symmetric(h1, "h1")
     if h1.size != h0.size - 2:
         raise ValueError("h1 must be the 2n-1 tap mate of h0")
-    return _refine_h1(h0, h1, spec, normalize)
+    if not len(zero_freqs):
+        raise ValueError("refinement needs at least one zero frequency")
+    return normalize_passband(_refine_h1(h0, h1, _check_zero_freqs(zero_freqs, len(zero_freqs))))
 
 
-def _refine_h1(h0, h1, spec: RefinementSpec, normalize: bool = True) -> np.ndarray:
-    """refine_h1 on a checked pair; `bank.design_bank` calls it on the mate it solved for."""
-    refined = np.convolve(build_e(_solve_correction(h0, h1, spec)), h0)
-    refined[2 * spec.m : 2 * spec.m + h1.size] += h1
-    return normalize_passband(refined) if normalize else refined
+def _refine_h1(h0, h1, zero_freqs) -> np.ndarray:
+    """The raw z^(-2m) H1 + E H0 on checked inputs; `refine_h1` and `design_bank` normalize it."""
+    m = len(zero_freqs)
+    refined = np.convolve(build_e(_solve_correction(h0, h1, zero_freqs)), h0)
+    refined[2 * m : 2 * m + h1.size] += h1
+    return refined

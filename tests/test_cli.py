@@ -99,6 +99,7 @@ class TestDesign:
             ("--refine", "0", "--zeros", "0.5"),  # zeros given but no refinement
             ("--refine", "1", "--zeros", "0,1"),  # two zeros for m = 1
             ("--refine", "1", "--zeros", "4"),  # outside [0, pi)
+            ("--refine", "2", "--zeros", "0.5,0.3"),  # not increasing
         ],
     )
     def test_bad_zeros_are_usage_errors(self, tmp_path, capsys, extra):

@@ -78,6 +78,12 @@ class TestGridResponse:
         with pytest.raises(ValueError):
             poly.grid_response([1.0], grid_size)
 
+    @pytest.mark.parametrize("grid_size", [10.0, 10.5])
+    def test_non_integer_grid_rejected(self, grid_size):
+        # NumPy's TypeError used to escape from the FFT length
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 2"):
+            poly.grid_response([1.0, 2.0, 1.0], grid_size)
+
 
 class TestAmplitude:
     def test_unit(self):

@@ -254,6 +254,31 @@ class TestDesignSpec:
         assert spec == DesignSpec(n=10, m=2, grid_size=512)
         assert np.array_equal(design_h0(spec), design_h0(DesignSpec(n=10, m=2)))
 
+    def test_zero_count_mismatch(self):
+        with pytest.raises(ValueError, match="need exactly m=2 zero frequencies, got 1"):
+            DesignSpec(n=8, m=2, zero_freqs=(0.0,))
+
+    @pytest.mark.parametrize("zeros", [(0.3, 0.3), (0.5, 0.3)], ids=["repeated", "decreasing"])
+    def test_non_increasing_zeros(self, zeros):
+        # (0.5, 0.3) used to construct and fail later, in design_bank
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DesignSpec(n=8, m=2, zero_freqs=zeros)
+
+    def test_out_of_range_zeros(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, pi\)"):
+            DesignSpec(n=8, m=1, zero_freqs=(math.pi,))
+
+    @pytest.mark.parametrize("m", [1.0, 1.5, True, np.float64(1.0)])
+    def test_non_integer_order_with_zeros_rejected(self, m):
+        # m = 1.0 would pass the zero count, so the order is checked first
+        with pytest.raises(ValueError, match="refinement order m must be an integer"):
+            DesignSpec(n=8, m=m, zero_freqs=(0.0,))
+
+    def test_numpy_integer_order_with_zeros_accepted(self):
+        spec = DesignSpec(n=8, m=np.int64(2), zero_freqs=np.array([0.0, 0.5]))
+        assert spec == DesignSpec(n=8, m=2, zero_freqs=(0.0, 0.5))
+        assert type(spec.zero_freqs) is tuple
+
 
 specs = st.builds(
     DesignSpec,

@@ -10,8 +10,8 @@ from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate
 from prqmf.analysis import transfer, verify_pr
 from prqmf.refine import (
     SINGULAR_RTOL,
-    RefinementSpec,
     SingularRefinement,
+    _refine_h1,
     _solve_correction,
     build_e,
     default_zero_freqs,
@@ -65,43 +65,42 @@ class TestDefaultZeroFreqs:
             default_zero_freqs(2.0, BandEdges.symmetric())
 
 
-class TestRefinementSpec:
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            RefinementSpec(2, (0.0,))
+class TestRefineH1Zeros:
+    """refine_h1 infers m from the zero count and applies DesignSpec's zero rules."""
 
-    def test_non_increasing(self):
-        with pytest.raises(ValueError):
-            RefinementSpec(2, (0.3, 0.3))
+    def test_empty_zeros_rejected(self, toy_h0, toy_h1):
+        with pytest.raises(ValueError, match="at least one zero frequency"):
+            refine_h1(toy_h0, toy_h1, ())
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            RefinementSpec(1, (math.pi,))
-
-    @pytest.mark.parametrize("m", [1.0, 1.5, True, np.float64(1.0)])
-    def test_non_integer_order_rejected(self, m):
-        with pytest.raises(ValueError, match="refinement order m must be an integer"):
-            RefinementSpec(m, (0.0,))
-
-    def test_numpy_integer_order_accepted(self):
-        spec = RefinementSpec(np.int64(2), (0.0, 0.5))
-        assert spec == RefinementSpec(2, (0.0, 0.5))
+    @pytest.mark.parametrize(
+        "zeros, message",
+        [
+            ((0.5, 0.3), "strictly increasing"),
+            ((math.pi,), r"lie in \[0, pi\)"),
+            ((-0.1, 0.5), r"lie in \[0, pi\)"),
+        ],
+        ids=["decreasing", "pi", "negative"],
+    )
+    def test_bad_zeros_rejected(self, zeros, message):
+        h0, h1 = certified_pair(6)
+        with pytest.raises(ValueError, match=message):
+            refine_h1(h0, h1, zeros)
 
 
 class TestToyRefinement:
     def test_closed_form_coefficient(self, toy_h0, toy_h1):
-        free = _solve_correction(toy_h0, toy_h1, RefinementSpec(1, (0.0,)))
+        free = _solve_correction(toy_h0, toy_h1, (0.0,))
         assert free[0] == pytest.approx(1 / 9, abs=1e-15)
         # spec'd closed form for a DC zero
         assert free[0] == pytest.approx(-toy_h1.sum() / (2 * toy_h0.sum()), abs=1e-15)
 
     def test_refined_taps(self, toy_h0, toy_h1):
-        h1p = refine_h1(toy_h0, toy_h1, RefinementSpec(1, (0.0,)), normalize=False)
+        h1p = _refine_h1(toy_h0, toy_h1, (0.0,))
         assert np.allclose(h1p, TOY_REFINED, atol=1e-12)
         assert poly.amplitude(h1p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_refined_transfer_is_shifted_delay(self, toy_h0, toy_h1):
-        h1p = refine_h1(toy_h0, toy_h1, RefinementSpec(1, (0.0,)), normalize=False)
+        h1p = _refine_h1(toy_h0, toy_h1, (0.0,))
         report = verify_pr(toy_h0, h1p)
         assert report.delay == 5
         assert report.scale == pytest.approx(1.0, abs=1e-12)
@@ -142,37 +141,36 @@ class TestStructure:
     def test_zero_forcing_and_lengths(self, m):
         edges = BandEdges.symmetric()
         h0, h1 = certified_pair(8)
-        spec = RefinementSpec(m, default_zero_freqs(m, edges))
-        h1p = refine_h1(h0, h1, spec)
+        zs = default_zero_freqs(m, edges)
+        h1p = refine_h1(h0, h1, zs)
         assert h1p.size == 2 * 8 + 4 * m - 1
         poly.require_symmetric(h1p)
-        amps = poly.amplitude(h1p, np.array(spec.zero_freqs))
+        amps = poly.amplitude(h1p, np.array(zs))
         assert np.all(np.abs(amps) <= 1e-10 * np.abs(h1p).max())
 
     def test_m1_dc_zero_matches_closed_form(self):
         # independent reference: a DC zero of z^-2 H1 + c (1 + z^-2) H0 needs
         # H1(1) + 2 c H0(1) = 0, i.e. c = -H1(1) / (2 H0(1))
         h0, h1 = certified_pair(6, WindowSpec("hamming"))
-        dense = _solve_correction(h0, h1, RefinementSpec(1, (0.0,)))
+        dense = _solve_correction(h0, h1, (0.0,))
         assert dense[0] == pytest.approx(-h1.sum() / (2 * h0.sum()), rel=1e-12)
 
     def test_near_duplicate_zeros_are_singular(self):
         h0, h1 = certified_pair(6)
-        spec = RefinementSpec(2, (0.1, 0.1 + 1e-16))
         with pytest.raises(SingularRefinement):
-            refine_h1(h0, h1, spec)
+            refine_h1(h0, h1, (0.1, 0.1 + 1e-16))
 
     def test_unreachable_single_zero_is_singular(self):
         # (1 + z^-2) H0(z) has zero amplitude at pi/2, so E cannot move it
         h0, h1 = certified_pair(10)
         with pytest.raises(SingularRefinement):
-            refine_h1(h0, h1, RefinementSpec(1, (math.pi / 2,)))
+            refine_h1(h0, h1, (math.pi / 2,))
 
     def test_singular_message_names_both_factors(self):
         # mat = diag(A0(w)) C; at pi/2 the cosine column 2 cos(w) vanishes
         h0, h1 = certified_pair(10)
         with pytest.raises(SingularRefinement) as exc:
-            refine_h1(h0, h1, RefinementSpec(1, (math.pi / 2,)))
+            refine_h1(h0, h1, (math.pi / 2,))
         msg = str(exc.value)
         a0 = abs(float(poly.amplitude(h0, math.pi / 2)))
         assert f"min |A0(w_q)| = {a0:.3e}" in msg
@@ -184,7 +182,7 @@ class TestStructure:
         # pivot (with OpenBLAS's LAPACK); the least-squares [rhs | I] then fails the gate
         h0 = design_h0(DesignSpec(n=8))
         with pytest.raises(SingularRefinement) as exc:
-            refine_h1(h0, basic_mate(h0), RefinementSpec(2, (0.0, 1e-17)))
+            refine_h1(h0, basic_mate(h0), (0.0, 1e-17))
         msg = str(exc.value)
         assert f"min |A0(w_q)| = {abs(float(poly.amplitude(h0, 0.0))):.3e}" in msg
         assert "cond(C) = " in msg
@@ -192,7 +190,7 @@ class TestStructure:
     def test_wrong_mate_length_rejected(self):
         h0, _ = certified_pair(6)
         with pytest.raises(ValueError):
-            refine_h1(h0, np.array([1.0, 2.0, 1.0]), RefinementSpec(1, (0.0,)))
+            refine_h1(h0, np.array([1.0, 2.0, 1.0]), (0.0,))
 
     @pytest.mark.parametrize(
         "name, fault, message",
@@ -215,18 +213,18 @@ class TestStructure:
             h = np.append(h, h[0])
         pair[name] = h
         with pytest.raises(ValueError, match=message):
-            refine_h1(pair["h0"], pair["h1"], RefinementSpec(1, (0.0,)))
+            refine_h1(pair["h0"], pair["h1"], (0.0,))
 
 
-def convolution_system(h0, h1, spec):
+def convolution_system(h0, h1, zs):
     """The zero-forcing system built term by term: column j is the amplitude
     of (z^(-2j) + z^(-(4m-2-2j))) H0(z), and the rhs that of z^(-2m) H1(z),
     all about the shared centre n+2m-1 of the refined filter, the midpoint of
     each of these 2n+4m-1-tap arrays."""
-    n, m = (h0.size - 1) // 2, spec.m
+    n, m = (h0.size - 1) // 2, len(zs)
     shifted = np.zeros(2 * n + 4 * m - 1)
     shifted[2 * m : 2 * m + h1.size] = h1
-    w = np.array(spec.zero_freqs)
+    w = np.array(zs)
     cols = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
     mat = np.column_stack([poly.amplitude(g, w) for g in cols])
     return mat, -poly.amplitude(shifted, w)
@@ -251,12 +249,12 @@ class TestClosedFormSystem:
             h1 = basic_mate(h0)
         except (SingularSystem, DegeneratePassband):
             return  # no mate to refine
-        spec = RefinementSpec(m, default_zero_freqs(m, edges))
-        mat, rhs = convolution_system(h0, h1, spec)
+        zs = default_zero_freqs(m, edges)
+        mat, rhs = convolution_system(h0, h1, zs)
         inv_norm = np.linalg.cond(mat, 1) / np.linalg.norm(mat, 1)
         singular = 1.0 / inv_norm <= SINGULAR_RTOL * np.abs(h0).sum()
         try:
-            free = _solve_correction(h0, h1, spec)
+            free = _solve_correction(h0, h1, zs)
         except SingularRefinement:
             assert singular
             return
