@@ -6,8 +6,8 @@
 Each checkout is run in its own interpreter on the same designs: the 128
 points of `sweep.run_sweep` (each design it makes, and its scores) and the
 4,096 `design_long` specs of each of bench seeds 1-4, built by the NEW
-checkout's `bench/workloads.py`. For every design it
-compares h0, h1, delay, scale and max_spurious bit for bit, or the type and
+checkout's `bench/workloads.py`. For every design it compares h0, h1,
+delay, scale, max_spurious and zero_freqs bit for bit, or the type and
 message of the exception raised. It prints one count per group and exits 1
 on any difference.
 """
@@ -27,7 +27,8 @@ def outcome(design_bank, spec):
         bank = design_bank(spec)
     except Exception as exc:  # a raise is an outcome to compare, not an error
         return ("raised", type(exc).__name__, str(exc))
-    return (bank.h0.tobytes(), bank.h1.tobytes(), bank.delay, bank.scale.hex(), bank.max_spurious.hex())
+    zeros = tuple(float(w).hex() for w in bank.zero_freqs)
+    return (bank.h0.tobytes(), bank.h1.tobytes(), bank.delay, bank.scale.hex(), bank.max_spurious.hex(), zeros)
 
 
 def record(lib_root: str, bench_root: str) -> dict[str, list]:

@@ -16,7 +16,7 @@ from .analysis import (
 from .bank import design_bank
 from .prototype import BandEdges, DesignSpec, WindowSpec, design_h0
 from .qmf_core import DegeneratePassband, SingularSystem, basic_mate
-from .refine import SingularRefinement, default_zero_freqs, refine_h1
+from .refine import SingularRefinement, refine_h1
 
 __all__ = [
     "BandEdges",
@@ -31,7 +31,6 @@ __all__ = [
     "SingularSystem",
     "WindowSpec",
     "basic_mate",
-    "default_zero_freqs",
     "design_bank",
     "design_h0",
     "mse",

@@ -15,10 +15,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import poly
-from .prototype import MSE_GRID_MIN, DesignSpec, _check_integer
+from .prototype import MSE_GRID_MIN, MSE_GRID_SIZE, DesignSpec, _check_integer
 
 PR_TOL = 1e-9
-MSE_GRID_SIZE = 1024
 
 
 class NoDelayFound(Exception):
@@ -38,20 +37,22 @@ class PrReport:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """A bank is its analysis pair (h0, h1). The synthesis pair is derived by
-    `synthesis_filters`; delay, scale and max_spurious come from one PR
-    certificate, computed on first read (NoDelayFound if T(z) vanishes).
-    Equality and hashing are by identity, as array fields have no `==`."""
+    """A bank is its analysis pair (h0, h1) and its spec, which holds its zeros.
+    `synthesis_filters` derives the synthesis pair; one PR certificate, computed
+    on first read (NoDelayFound if T(z) vanishes), gives delay, scale and
+    max_spurious. Equality and hashing are by identity, as arrays have no `==`."""
 
     h0: np.ndarray
     h1: np.ndarray
     spec: DesignSpec | None = None
-    zero_freqs: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "h0", poly.as_poly(self.h0))
         object.__setattr__(self, "h1", poly.as_poly(self.h1))
-        object.__setattr__(self, "zero_freqs", tuple(float(w) for w in self.zero_freqs))
+
+    @property
+    def zero_freqs(self) -> tuple[float, ...]:
+        return self.spec.zero_freqs if self.spec else ()
 
     @property
     def f0(self) -> np.ndarray:

@@ -5,17 +5,15 @@ from __future__ import annotations
 from . import analysis
 from .prototype import DesignSpec, design_h0
 from .qmf_core import basic_mate, normalize_passband
-from .refine import _refine_h1, default_zero_freqs
+from .refine import _refine_h1
 
 
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
     """Prototype, solve for the mate, refine (if m > 0), assemble, certify."""
     h0 = design_h0(spec)
     h1 = basic_mate(h0)  # the one check of h0; the later stages take checked arrays
-    zero_freqs: tuple[float, ...] = ()
     if spec.m >= 1:
-        zero_freqs = spec.zero_freqs or default_zero_freqs(spec.m, spec.edges)
-        h1 = normalize_passband(_refine_h1(h0, h1, zero_freqs))
-    bank = analysis.FilterBank(h0, h1, spec, zero_freqs)
+        h1 = normalize_passband(_refine_h1(h0, h1, spec.zero_freqs))
+    bank = analysis.FilterBank(h0, h1, spec)
     bank.certificate  # certify here, so NoDelayFound is raised by the design
     return bank

@@ -70,7 +70,8 @@ def save_bank(bank: analysis.FilterBank, path: str) -> None:
 
 
 def load_bank(path: str) -> analysis.FilterBank:
-    """The bank is rebuilt from h0 and h1 alone; the stored derived fields are not read."""
+    """The bank is rebuilt from h0 and h1 alone; the stored derived fields are not read.
+    Its zeros, n and m are checked as `DesignSpec` checks them, and against the taps."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -79,19 +80,26 @@ def load_bank(path: str) -> analysis.FilterBank:
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         if doc["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc['format_version']!r}")
-        spec = None
-        if doc.get("edges") and doc.get("window"):
-            spec = DesignSpec(
-                n=doc["n"],
-                edges=BandEdges(doc["edges"]["wp"], doc["edges"]["ws"]),
-                window=WindowSpec(doc["window"]["kind"], doc["window"]["param"]),
-                m=doc["m"],
-            )
-        fields = {"h0": doc["h0"], "h1": doc["h1"], "zero_freqs": doc.get("zero_freqs", [])}
-        for key, value in fields.items():
+        h0, h1, zeros = doc["h0"], doc["h1"], doc.get("zero_freqs", [])  # no defaults from m
+        for key, value in (("h0", h0), ("h1", h1), ("zero_freqs", zeros)):
             if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
                 raise ValueError(f"{key} must be a list of numbers")
-        return analysis.FilterBank(spec=spec, **fields)
+        spec = None
+        if doc.get("edges") and doc.get("window"):
+            n, m = doc["n"], doc["m"]
+            # Before the spec is built, so that the file's m is bounded by its taps.
+            if len(h0) != 2 * n + 1 or len(h1) != 2 * n + 4 * m - 1:
+                raise ValueError(f"{len(h0)}/{len(h1)} taps do not fit n={n}, m={m}")
+            spec = DesignSpec(
+                n=n,
+                edges=BandEdges(doc["edges"]["wp"], doc["edges"]["ws"]),
+                window=WindowSpec(doc["window"]["kind"], doc["window"]["param"]),
+                m=m,
+                zero_freqs=zeros,
+            )
+        elif zeros:
+            raise ValueError("zero_freqs need the design's edges and window")
+        return analysis.FilterBank(h0, h1, spec)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise BankFileError(f"cannot load bank file {path}: {exc}") from exc
 
@@ -219,12 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="export magnitude responses as CSV")
     p.add_argument("path")
-    p.add_argument("--grid", type=grid_at_least(2), default=1024, help="points on [0, pi]")
+    p.add_argument("--grid", type=grid_at_least(2), default=analysis.MSE_GRID_SIZE,
+                   help="points on [0, pi]")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("metrics", help="print MSE metrics against ideal responses")
     p.add_argument("path")
-    p.add_argument("--grid", type=grid_at_least(analysis.MSE_GRID_MIN), default=1024)
+    p.add_argument("--grid", type=grid_at_least(analysis.MSE_GRID_MIN), default=analysis.MSE_GRID_SIZE)
 
     p = sub.add_parser("process", help="run a CSV signal through the bank")
     p.add_argument("path")

@@ -21,8 +21,9 @@ KAISER_DEFAULT_BETA = 6.0
 GAUSSIAN_ALPHA_MAX = math.sqrt(np.finfo(float).max)
 # np.i0(beta) computes exp(beta), which overflows above log(DBL_MAX) = 709.78.
 KAISER_BETA_MAX = float(np.log(np.finfo(float).max))
-# Smallest frequency grid a design is scored on (`analysis.mse`).
+# Smallest and default frequency grid a design is scored on (`analysis.mse`).
 MSE_GRID_MIN = 64
+MSE_GRID_SIZE = 1024
 
 
 def _check_integer(value, low: int, name: str) -> None:
@@ -92,23 +93,26 @@ class DesignSpec:
 
     n is the half-order: the low-pass gets 2n+1 taps and its basic
     high-pass mate 2n-1. m is the refinement order (0 disables it).
-    zero_freqs overrides the default stop-band zero placement and must
-    hold exactly m frequencies, strictly increasing in [0, pi).
+    zero_freqs: m stop-band zeros strictly increasing in [0, pi), q*wp/m
+    (q = 0..m-1) if None; so `replace(spec, m=...)` needs zero_freqs=None.
     """
 
     n: int
     edges: BandEdges = field(default_factory=BandEdges.symmetric)
     window: WindowSpec = WindowSpec()
     m: int = 1
-    grid_size: int = 1024
+    grid_size: int = MSE_GRID_SIZE
     zero_freqs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         _check_integer(self.n, 1, "half-order n")
         _check_integer(self.m, 0, "refinement order m")
         _check_integer(self.grid_size, MSE_GRID_MIN, "grid_size")
-        if self.zero_freqs is not None:
-            object.__setattr__(self, "zero_freqs", _check_zero_freqs(self.zero_freqs, self.m))
+        if self.zero_freqs is None:  # valid by construction, so not checked again
+            zeros = tuple(q * self.edges.wp / self.m for q in range(self.m))
+        else:
+            zeros = _check_zero_freqs(self.zero_freqs, self.m)
+        object.__setattr__(self, "zero_freqs", zeros)
 
 
 def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import poly
-from .prototype import BandEdges, _check_integer, _check_zero_freqs
+from .prototype import _check_zero_freqs
 from .qmf_core import SingularSystem, normalize_passband, solve
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
@@ -27,12 +27,6 @@ SINGULAR_RTOL = 1e-12
 
 class SingularRefinement(Exception):
     """The zero-forcing system is singular (e.g. coincident frequencies)."""
-
-
-def default_zero_freqs(m: int, edges: BandEdges) -> tuple[float, ...]:
-    """Equispaced zeros q*wp/m from DC across the high-pass stop band [0, wp]."""
-    _check_integer(m, 1, "refinement order m")
-    return tuple(q * edges.wp / m for q in range(m))
 
 
 def build_e(free) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import analysis
 from .bank import design_bank
-from .prototype import BandEdges, DesignSpec, WindowSpec
+from .prototype import MSE_GRID_SIZE, BandEdges, DesignSpec, WindowSpec
 
 # Band centers and half-widths swept, as fractions of pi.
 CENTERS = (0.5, 0.5625, 0.5875, 0.6)
@@ -69,7 +69,7 @@ class SweepPoint:
         return self.worst_err <= DB_TOL
 
 
-def run_sweep(grid_size: int = 1024) -> dict[str, list[SweepPoint]]:
+def run_sweep(grid_size: int = MSE_GRID_SIZE) -> dict[str, list[SweepPoint]]:
     results: dict[str, list[SweepPoint]] = {}
     for ref in REFERENCES:
         points = results[ref.name] = []

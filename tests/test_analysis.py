@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -407,6 +408,30 @@ def test_bank_and_report_compare_by_identity(bank10):
         assert a in [b, a] and a not in [b]
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2 and a in {a} and b not in {a}
+
+
+class TestBankZeros:
+    """A bank's zeros are its spec's; FilterBank stores no list of its own."""
+
+    def test_fields_are_the_pair_and_the_spec(self):
+        assert [f.name for f in dataclasses.fields(FilterBank)] == ["h0", "h1", "spec"]
+
+    def test_no_spec_means_no_zeros(self, toy_h0, toy_h1):
+        assert FilterBank(toy_h0, toy_h1).zero_freqs == ()
+
+    def test_zero_freqs_is_no_argument(self, toy_h0, toy_h1):
+        with pytest.raises(TypeError):
+            FilterBank(toy_h0, toy_h1, zero_freqs=(0.0,))
+        with pytest.raises(TypeError):
+            FilterBank(toy_h0, toy_h1, None, (0.0,))
+
+    def test_zero_freqs_is_read_only(self, bank10):
+        with pytest.raises(AttributeError):
+            bank10.zero_freqs = (0.5,)
+
+    def test_design_reads_its_spec(self):
+        spec = DesignSpec(n=10, m=2, zero_freqs=(0.0, 0.4))
+        assert design_bank(spec).zero_freqs is spec.zero_freqs
 
 
 class TestMse:

@@ -8,7 +8,7 @@ from prqmf.analysis import NoDelayFound, verify_pr
 from prqmf.bank import design_bank
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
 from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate, solve
-from prqmf.refine import SingularRefinement, default_zero_freqs, refine_h1
+from prqmf.refine import SingularRefinement, refine_h1
 
 DESIGN_ERRORS = (SingularSystem, DegeneratePassband, SingularRefinement, NoDelayFound)
 
@@ -69,7 +69,7 @@ def staged_design(spec):
     h0 = design_h0(spec)
     h1 = basic_mate(h0)
     if spec.m >= 1:
-        h1 = refine_h1(h0, h1, default_zero_freqs(spec.m, spec.edges))
+        h1 = refine_h1(h0, h1, spec.zero_freqs)
     return h0, h1, verify_pr(h0, h1)
 
 

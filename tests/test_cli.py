@@ -442,6 +442,66 @@ class TestDerivedFields:
         assert_one_error_line(err, "BankFileError")
 
 
+@cache
+def refined_doc_json() -> str:
+    """The bank file of `design --n 10 --refine 1`: 21/23 taps, one zero at DC."""
+    return json.dumps(bank_to_dict(design_bank(DesignSpec(n=10, m=1))))
+
+
+class TestBankFileZeros:
+    """A file's zeros, n and m pass the rules a design's do, and must fit its taps."""
+
+    @pytest.mark.parametrize("command", ["verify", "process"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(zero_freqs=[3.5, 1.0, 7.0]), "need exactly m=1 zero frequencies, got 3"),
+            (lambda d: d.update(n=3, m=2), "21/23 taps do not fit n=3, m=2"),
+            (lambda d: d.pop("zero_freqs"), "need exactly m=1 zero frequencies, got 0"),
+            (lambda d: d.update(m=2, zero_freqs=[0.5, 0.3]), "taps do not fit"),
+            (lambda d: d.update(zero_freqs=[math.pi]), r"lie in \[0, pi\)"),
+        ],
+        ids=["three-zeros-out-of-order", "n3-m2", "zeros-dropped", "m2-zeros-out-of-order", "zero-at-pi"],
+    )
+    def test_edited_file_rejected(self, tmp_path, command, edit, message):
+        doc = json.loads(refined_doc_json())
+        edit(doc)
+        rc, err = run_on_doc(tmp_path, doc, command)
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert re.search(message, err)
+
+    @pytest.mark.parametrize(
+        "n, m", [(11, 1), (9, 1), (10, 2), (10, 0), (11, 2), (9, 0)],
+        ids=["n+1", "n-1", "m+1", "m-1", "both+1", "both-1"],
+    )
+    def test_n_and_m_must_fit_the_taps(self, tmp_path, n, m):
+        # zeros valid for the edited m, so that the tap counts alone are at fault
+        doc = json.loads(refined_doc_json())
+        doc.update(n=n, m=m, zero_freqs=[0.1 * q for q in range(m)])
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert f"21/23 taps do not fit n={n}, m={m}" in err
+
+    @pytest.mark.parametrize("key", ["edges", "window"])
+    def test_zeros_without_a_design_rejected(self, tmp_path, key):
+        doc = json.loads(refined_doc_json())
+        doc[key] = None
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert "zero_freqs need the design's edges and window" in err
+
+    def test_explicit_zeros_load_as_written(self, tmp_path):
+        doc = json.loads(refined_doc_json())
+        doc["zero_freqs"] = [0.25]
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(doc))
+        bank = load_bank(str(path))
+        assert bank.zero_freqs == bank.spec.zero_freqs == (0.25,)
+
+
 # Short strings that include numeric ones ("1", "-0.5"), which are still no taps.
 TEXT = st.text("01.-ae", max_size=4)
 # Values of another JSON type than a list of numbers.

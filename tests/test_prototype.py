@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -278,6 +279,41 @@ class TestDesignSpec:
         spec = DesignSpec(n=8, m=np.int64(2), zero_freqs=np.array([0.0, 0.5]))
         assert spec == DesignSpec(n=8, m=2, zero_freqs=(0.0, 0.5))
         assert type(spec.zero_freqs) is tuple
+
+    def test_default_zeros_m1_is_dc_only(self):
+        assert DesignSpec(n=8, edges=BandEdges.symmetric(), m=1).zero_freqs == (0.0,)
+
+    def test_default_zeros_m2(self):
+        freqs = DesignSpec(n=8, edges=BandEdges(0.4 * math.pi, 0.6 * math.pi), m=2).zero_freqs
+        assert freqs == pytest.approx((0.0, 0.2 * math.pi))
+
+    def test_default_zeros_m3(self):
+        freqs = DesignSpec(n=8, edges=BandEdges(0.4 * math.pi, 0.6 * math.pi), m=3).zero_freqs
+        assert freqs == pytest.approx((0.0, 2 * math.pi / 15, 4 * math.pi / 15))
+
+    def test_default_zeros_m0_is_empty(self):
+        assert DesignSpec(n=8, m=0).zero_freqs == ()
+
+    def test_default_zeros_are_q_wp_over_m(self):
+        spec = DesignSpec(n=10, m=2)
+        assert spec.zero_freqs == (0.0, spec.edges.wp / 2)
+        assert all(type(w) is float for w in spec.zero_freqs)
+
+    def test_non_integer_m_rejected_before_default_zeros(self):
+        # 2.0 used to fail with TypeError from range()
+        with pytest.raises(ValueError, match="refinement order m must be an integer"):
+            DesignSpec(n=8, m=2.0)
+
+    def test_default_zeros_equal_the_same_zeros_given(self):
+        spec = DesignSpec(n=8, m=2)
+        assert spec == DesignSpec(n=8, m=2, zero_freqs=spec.zero_freqs)
+        assert hash(spec) == hash(DesignSpec(n=8, m=2, zero_freqs=spec.zero_freqs))
+
+    def test_replace_needs_zero_freqs_none_to_place_new_defaults(self):
+        spec = DesignSpec(n=8, m=2)
+        with pytest.raises(ValueError, match="need exactly m=3 zero frequencies, got 2"):
+            dataclasses.replace(spec, m=3)
+        assert dataclasses.replace(spec, m=3, zero_freqs=None) == DesignSpec(n=8, m=3)
 
 
 specs = st.builds(

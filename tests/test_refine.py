@@ -14,7 +14,6 @@ from prqmf.refine import (
     _refine_h1,
     _solve_correction,
     build_e,
-    default_zero_freqs,
     refine_h1,
 )
 
@@ -41,28 +40,6 @@ class TestBuildE:
         assert e.size == 4 * len(free) - 1
         assert np.array_equal(e, e[::-1])
         assert not np.any(e[1::2])
-
-
-class TestDefaultZeroFreqs:
-    def test_m1_is_dc_only(self):
-        assert default_zero_freqs(1, BandEdges.symmetric()) == (0.0,)
-
-    def test_m2(self):
-        freqs = default_zero_freqs(2, BandEdges(0.4 * math.pi, 0.6 * math.pi))
-        assert freqs == pytest.approx((0.0, 0.2 * math.pi))
-
-    def test_m3(self):
-        freqs = default_zero_freqs(3, BandEdges(0.4 * math.pi, 0.6 * math.pi))
-        assert freqs == pytest.approx((0.0, 2 * math.pi / 15, 4 * math.pi / 15))
-
-    def test_m0_rejected(self):
-        with pytest.raises(ValueError):
-            default_zero_freqs(0, BandEdges.symmetric())
-
-    def test_non_integer_m_rejected(self):
-        # 2.0 used to fail with TypeError from range()
-        with pytest.raises(ValueError, match="refinement order m must be an integer"):
-            default_zero_freqs(2.0, BandEdges.symmetric())
 
 
 class TestRefineH1Zeros:
@@ -141,7 +118,7 @@ class TestStructure:
     def test_zero_forcing_and_lengths(self, m):
         edges = BandEdges.symmetric()
         h0, h1 = certified_pair(8)
-        zs = default_zero_freqs(m, edges)
+        zs = DesignSpec(n=8, edges=edges, m=m).zero_freqs
         h1p = refine_h1(h0, h1, zs)
         assert h1p.size == 2 * 8 + 4 * m - 1
         poly.require_symmetric(h1p)
@@ -249,7 +226,7 @@ class TestClosedFormSystem:
             h1 = basic_mate(h0)
         except (SingularSystem, DegeneratePassband):
             return  # no mate to refine
-        zs = default_zero_freqs(m, edges)
+        zs = DesignSpec(n=n, edges=edges, m=m).zero_freqs
         mat, rhs = convolution_system(h0, h1, zs)
         inv_norm = np.linalg.cond(mat, 1) / np.linalg.norm(mat, 1)
         singular = 1.0 / inv_norm <= SINGULAR_RTOL * np.abs(h0).sum()
