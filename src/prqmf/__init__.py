@@ -14,9 +14,9 @@ from .analysis import (
     verify_pr,
 )
 from .bank import design_bank
-from .prototype import BandEdges, DesignSpec, WindowSpec, design_h0
-from .qmf_core import DegeneratePassband, SingularSystem, basic_mate
-from .refine import SingularRefinement, refine_h1
+from .prototype import BandEdges, DesignSpec, WindowSpec
+from .qmf_core import DegeneratePassband, SingularSystem
+from .refine import SingularRefinement
 
 __all__ = [
     "BandEdges",
@@ -30,12 +30,9 @@ __all__ = [
     "SingularRefinement",
     "SingularSystem",
     "WindowSpec",
-    "basic_mate",
     "design_bank",
-    "design_h0",
     "mse",
     "process_bank",
-    "refine_h1",
     "synthesis_filters",
     "transfer",
     "validate_case_a",

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import poly
-from .prototype import MSE_GRID_MIN, MSE_GRID_SIZE, DesignSpec, _check_integer
+from .prototype import GRID_SIZE_MAX, MSE_GRID_MIN, MSE_GRID_SIZE, DesignSpec, _check_integer
 
 PR_TOL = 1e-9
 
@@ -215,7 +215,7 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
     target is 1 in the passband, 0 in the stopband, and 0.5 at the pi/2
     cutoff, which the grid hits when G is odd (2k = G - 1).
     """
-    _check_integer(grid_size, MSE_GRID_MIN, "grid_size")
+    _check_integer(grid_size, MSE_GRID_MIN, GRID_SIZE_MAX, "grid_size")
     if ideal not in ("lowpass", "highpass"):
         raise ValueError("ideal must be 'lowpass' or 'highpass'")
     err = np.abs(poly.grid_response(filt, grid_size)) - _brick_wall(grid_size, ideal)

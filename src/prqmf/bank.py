@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from . import analysis
+from . import analysis, refine
 from .prototype import DesignSpec, design_h0
 from .qmf_core import basic_mate, normalize_passband
-from .refine import _refine_h1
 
 
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
@@ -13,7 +12,7 @@ def design_bank(spec: DesignSpec) -> analysis.FilterBank:
     h0 = design_h0(spec)
     h1 = basic_mate(h0)  # the one check of h0; the later stages take checked arrays
     if spec.m >= 1:
-        h1 = normalize_passband(_refine_h1(h0, h1, spec.zero_freqs))
+        h1 = normalize_passband(refine.refine_h1(h0, h1, spec.zero_freqs))
     bank = analysis.FilterBank(h0, h1, spec)
     bank.certificate  # certify here, so NoDelayFound is raised by the design
     return bank

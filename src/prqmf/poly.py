@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prototype import _check_integer
+from .prototype import GRID_SIZE_MAX, _check_integer
 
 # Symmetry round-off budget, relative to the max-magnitude coefficient.
 SYMMETRY_RTOL = 1e-12
@@ -43,7 +43,7 @@ def grid_response(p, grid_size: int) -> np.ndarray:
     2(G-1)-periodic in k on this grid, so the values stay exact at any length.
     """
     p = as_poly(p)
-    _check_integer(grid_size, 2, "grid_size")
+    _check_integer(grid_size, 2, GRID_SIZE_MAX, "grid_size")
     period = 2 * (grid_size - 1)
     if p.size > period:
         p = np.bincount(np.arange(p.size) % period, weights=p)

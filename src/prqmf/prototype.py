@@ -24,12 +24,20 @@ KAISER_BETA_MAX = float(np.log(np.finfo(float).max))
 # Smallest and default frequency grid a design is scored on (`analysis.mse`).
 MSE_GRID_MIN = 64
 MSE_GRID_SIZE = 1024
+# Largest sizes a caller can ask for. design_bank at n = 2048 takes about 0.25 s and
+# 100 MB (its n x n mate system is 32 MB). m = 19 is the largest order whose default
+# zeros certify; m = 20 is singular at every n tried. A grid of 2^20 points is a
+# 2^21-point FFT of about 16 MB per response.
+N_MAX = 2048
+M_MAX = 24
+GRID_SIZE_MAX = 2**20
 
 
-def _check_integer(value, low: int, name: str) -> None:
-    """Raise ValueError unless value is an int or NumPy integer >= low (4.0 and True are not)."""
-    if not (type(value) is int or isinstance(value, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_integer(value, low: int, high: int, name: str) -> None:
+    """Raise ValueError unless value is an int or NumPy integer in [low, high]
+    (4.0 and True are not)."""
+    if not (type(value) is int or isinstance(value, np.integer)) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer >= {low} and <= {high}, got {value!r}")
 
 
 def _check_zero_freqs(freqs, m: int) -> tuple[float, ...]:
@@ -105,9 +113,9 @@ class DesignSpec:
     zero_freqs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_integer(self.n, 1, "half-order n")
-        _check_integer(self.m, 0, "refinement order m")
-        _check_integer(self.grid_size, MSE_GRID_MIN, "grid_size")
+        _check_integer(self.n, 1, N_MAX, "half-order n")
+        _check_integer(self.m, 0, M_MAX, "refinement order m")
+        _check_integer(self.grid_size, MSE_GRID_MIN, GRID_SIZE_MAX, "grid_size")
         if self.zero_freqs is None:  # valid by construction, so not checked again
             zeros = tuple(q * self.edges.wp / self.m for q in range(self.m))
         else:
@@ -119,9 +127,8 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     """Squared-sinc difference taps for signed indices -n..n, stored causally.
 
     The frequency response of the ideal version is a trapezoid: unit gain
-    up to wp, linear fall to zero at ws.
+    up to wp, linear fall to zero at ws. n is a `DesignSpec`'s, so it is not checked again.
     """
-    _check_integer(n, 1, "half-order n")
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
     # sinc(x) = sin(pi x) / (pi x) at x = w k / (2 pi), rounded as np.sinc
     # rounds it but without its wrapper's temporaries. At k = 0 a tiny
@@ -138,7 +145,7 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
-    """Symmetric window weights in (0,1] with peak 1 at the center tap.
+    """Symmetric window weights in (0,1] with peak 1 at the center tap of an odd length.
 
     Memoised per (spec, length) and returned read-only, as a sweep designs
     many banks on one window. The cache keeps the last 1024 windows, enough
@@ -146,8 +153,6 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
     weights). Full, at 257 taps (n = 128) each, it holds 2.1 MB of weights,
     under 2.6 MB with array headers and cache entries.
     """
-    if length < 1 or length % 2 == 0:
-        raise ValueError("window length must be odd and >= 1")
     if spec.kind == "rectangular" or length == 1:
         w = np.ones(length)
     elif spec.kind == "hamming":

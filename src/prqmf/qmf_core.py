@@ -53,17 +53,14 @@ def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """LAPACK LU with partial pivoting on a square (matrix, rhs) pair: the mate's taps, or
-    the refinement's [rhs | I]. Where LU meets an exact zero pivot the system is
-    rank-deficient but may be consistent (a half-band prototype has the pure delay as a
-    mate), so LAPACK's minimum-norm least-squares solution is taken instead. Either is
-    accepted only on a small residual in every rhs column."""
+    """LAPACK LU with partial pivoting on a square (matrix, rhs) pair that its caller built,
+    so its shape is not checked: the mate's taps, or the refinement's [rhs | I]. Where LU
+    meets an exact zero pivot the system is rank-deficient but may be consistent (a
+    half-band prototype has the pure delay as a mate), so LAPACK's minimum-norm
+    least-squares solution is taken instead. Either is accepted only on a small residual
+    in every rhs column."""
     a, b = system
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n = a.shape[0]
-    # Least squares would also "solve" a rectangular system; refuse one here.
-    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
-        raise ValueError("system must be square with a matching rhs")
     try:
         x, why = np.linalg.solve(a, b), "system is ill-conditioned"
     except np.linalg.LinAlgError:

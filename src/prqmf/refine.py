@@ -17,9 +17,7 @@ import math
 
 import numpy as np
 
-from . import poly
-from .prototype import _check_zero_freqs
-from .qmf_core import SingularSystem, normalize_passband, solve
+from .qmf_core import SingularSystem, solve
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
 SINGULAR_RTOL = 1e-12
@@ -30,14 +28,12 @@ class SingularRefinement(Exception):
 
 
 def build_e(free) -> np.ndarray:
-    """Expand m free coefficients into the even-powers-only symmetric E(z).
+    """Expand m >= 1 free coefficients into the even-powers-only symmetric E(z).
 
     free[j] lands at degrees 2j and 4m-2-2j; everything else is zero.
     """
     free = np.atleast_1d(np.asarray(free, dtype=float))
     m = free.size
-    if m < 1:
-        raise ValueError("refinement needs at least one coefficient")
     e = np.zeros(4 * m - 1)
     e[: 2 * m : 2] = free
     e[2 * m :: 2] = free[::-1]
@@ -76,18 +72,8 @@ def _solve_correction(h0, h1, zero_freqs) -> np.ndarray:
 
 
 def refine_h1(h0, h1, zero_freqs) -> np.ndarray:
-    """Passband-normalized mate with amplitude zeros at the m = len(zero_freqs) >= 1
-    zero_freqs, strictly increasing in [0, pi); symmetric with 2n+4m-1 taps."""
-    h0, h1 = poly.require_symmetric(h0, "h0"), poly.require_symmetric(h1, "h1")
-    if h1.size != h0.size - 2:
-        raise ValueError("h1 must be the 2n-1 tap mate of h0")
-    if not len(zero_freqs):
-        raise ValueError("refinement needs at least one zero frequency")
-    return normalize_passband(_refine_h1(h0, h1, _check_zero_freqs(zero_freqs, len(zero_freqs))))
-
-
-def _refine_h1(h0, h1, zero_freqs) -> np.ndarray:
-    """The raw z^(-2m) H1 + E H0 on checked inputs; `refine_h1` and `design_bank` normalize it."""
+    """The raw z^(-2m) H1 + E H0, m = len(zero_freqs) >= 1, on the checked pair and zeros
+    of a `DesignSpec`; symmetric with 2n+4m-1 taps. `design_bank` normalizes it."""
     m = len(zero_freqs)
     refined = np.convolve(build_e(_solve_correction(h0, h1, zero_freqs)), h0)
     refined[2 * m : 2 * m + h1.size] += h1

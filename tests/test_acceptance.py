@@ -21,7 +21,7 @@ from prqmf.prototype import (
 )
 from prqmf.bank import design_bank
 from prqmf.qmf_core import basic_mate, build_system, solve, unfold
-from prqmf.refine import _refine_h1, build_e
+from prqmf.refine import build_e, refine_h1
 
 WINDOWS = (
     WindowSpec("rectangular"),
@@ -74,7 +74,7 @@ def test_criterion_2_closed_form_values():
     expected_t[3] = 1.0
     ok &= np.allclose(t, expected_t, atol=1e-12)
 
-    h1p = _refine_h1(h0, h1, (0.0,))
+    h1p = refine_h1(h0, h1, (0.0,))
     expected = np.array([1 / 9, 2 / 9, -1 / 18, -5 / 9, -1 / 18, 2 / 9, 1 / 9])
     ok &= np.allclose(h1p, expected, atol=1e-12)
 

@@ -22,7 +22,7 @@ from prqmf.analysis import (
     verify_pr,
 )
 from prqmf.bank import design_bank
-from prqmf.prototype import BandEdges, DesignSpec, WindowSpec
+from prqmf.prototype import GRID_SIZE_MAX, BandEdges, DesignSpec, WindowSpec
 
 
 class TestTransfer:
@@ -461,6 +461,8 @@ class TestMse:
             mse([1.0], "bandpass")
         with pytest.raises(ValueError):
             mse([1.0], "lowpass", 32)
+        with pytest.raises(ValueError):
+            mse([1.0], "lowpass", GRID_SIZE_MAX + 1)
 
     def test_non_integer_grid_rejected(self):
         # 100.5 used to fail with TypeError in the FFT

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prqmf import analysis, cli, poly
+from prqmf import analysis, cli, poly, qmf_core, refine
 from prqmf.bank import design_bank
 from prqmf.cli import bank_to_dict, load_bank, main, save_bank
-from prqmf.prototype import DesignSpec
+from prqmf.prototype import M_MAX, N_MAX, DesignSpec
 
 # h0 all zero: metrics scores it, but it is no PR bank (T(z) = 0).
 ZERO_BANK_DOC = {
@@ -40,11 +40,11 @@ def write_signal(path, samples, header=False):
     path.write_text("\n".join(lines) + "\n")
 
 
-def assert_grid_usage_error(err: str, floor: str):
-    """argparse usage line, then one error line naming --grid; no traceback."""
-    assert "Traceback" not in err
-    last = err.strip().splitlines()[-1]
-    assert "error: argument --grid" in last and floor in last
+def assert_grid_usage_error(rc: int, err: str, floor: str):
+    """Exit code 2 and the library's one grid_size line, naming the floor."""
+    assert rc == 2
+    assert_one_error_line(err, "ValueError")
+    assert f"grid_size must be an integer >= {floor} " in err
 
 
 class TestDesign:
@@ -67,6 +67,26 @@ class TestDesign:
     def test_invalid_n(self, tmp_path):
         code, _ = design(tmp_path, n=0)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n, extra, message",
+        [(1_000_000, [], f"half-order n must be an integer >= 1 and <= {N_MAX}"),
+         (2, ["--refine", "3000"], f"refinement order m must be an integer >= 0 and <= {M_MAX}")],
+        ids=["n", "m"],
+    )
+    def test_size_above_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, n, extra, message):
+        # rejected by the spec, before any system is built or solved
+        def never(system):
+            raise AssertionError("solve called")
+
+        for module in (qmf_core, refine):
+            monkeypatch.setattr(module, "solve", never)
+        code, out = design(tmp_path, *extra, n=n)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert message in err
+        assert not out.exists()
 
     def test_explicit_edges_and_zeros(self, tmp_path):
         out = tmp_path / "b.json"
@@ -226,10 +246,8 @@ class TestResponse:
     def test_grid_below_two_is_usage_error(self, tmp_path, capsys, grid):
         _, bankfile = design(tmp_path)
         csv = tmp_path / "resp.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["response", str(bankfile), "--grid", grid, "--out", str(csv)])
-        assert exc.value.code == 2
-        assert_grid_usage_error(capsys.readouterr().err, ">= 2")
+        rc = main(["response", str(bankfile), "--grid", grid, "--out", str(csv)])
+        assert_grid_usage_error(rc, capsys.readouterr().err, "2")
         assert not csv.exists()
 
 
@@ -253,10 +271,10 @@ class TestMetrics:
     def test_grid_below_mse_floor_is_usage_error(self, tmp_path, capsys, grid):
         _, bankfile = design(tmp_path)
         capsys.readouterr()  # discard the design summary line
-        with pytest.raises(SystemExit) as exc:
-            main(["metrics", str(bankfile), "--grid", grid])
-        assert exc.value.code == 2
-        assert_grid_usage_error(capsys.readouterr().err, ">= 64")
+        rc = main(["metrics", str(bankfile), "--grid", grid])
+        captured = capsys.readouterr()
+        assert_grid_usage_error(rc, captured.err, "64")
+        assert captured.out == ""
 
     def test_infinite_db_printed_as_inf(self, tmp_path, capsys, monkeypatch):
         _, bankfile = design(tmp_path)
@@ -483,6 +501,22 @@ class TestBankFileZeros:
         assert rc == 3
         assert_one_error_line(err, "BankFileError")
         assert f"21/23 taps do not fit n={n}, m={m}" in err
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [(N_MAX + 1, 0, f"half-order n must be an integer >= 1 and <= {N_MAX}"),
+         (1, M_MAX + 1, f"refinement order m must be an integer >= 0 and <= {M_MAX}")],
+        ids=["n", "m"],
+    )
+    def test_size_above_cap_rejected(self, tmp_path, n, m, message):
+        # taps and zeros that fit n and m, so that the cap alone is at fault
+        doc = json.loads(refined_doc_json())
+        doc.update(n=n, m=m, h0=[1.0] * (2 * n + 1), h1=[1.0] * (2 * n + 4 * m - 1),
+                   zero_freqs=[0.01 * q for q in range(m)])
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert message in err
 
     @pytest.mark.parametrize("key", ["edges", "window"])
     def test_zeros_without_a_design_rejected(self, tmp_path, key):

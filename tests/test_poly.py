@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prqmf import poly
+from prqmf.prototype import GRID_SIZE_MAX
 
 coeffs = st.floats(min_value=-10, max_value=10, allow_nan=False)
 polys = st.lists(coeffs, min_size=1, max_size=12).map(np.array)
@@ -73,7 +74,7 @@ class TestGridResponse:
         # G = 2 has period 2: H(0) sums every tap, H(pi) alternates them
         assert np.array_equal(poly.grid_response(np.ones(5), 2), [5.0, 1.0])
 
-    @pytest.mark.parametrize("grid_size", [1, 0, -5])
+    @pytest.mark.parametrize("grid_size", [1, 0, -5, GRID_SIZE_MAX + 1])
     def test_grid_needs_both_endpoints(self, grid_size):
         with pytest.raises(ValueError):
             poly.grid_response([1.0], grid_size)

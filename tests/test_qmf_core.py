@@ -81,10 +81,6 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve(sys_)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            solve((np.ones((2, 3)), np.ones(2)))
-
     def test_nan_residual_is_singular(self):
         # LU returns NaN taps without a LinAlgError; only the residual gate catches them
         with pytest.raises(SingularSystem):

@@ -11,7 +11,6 @@ from prqmf.analysis import transfer, verify_pr
 from prqmf.refine import (
     SINGULAR_RTOL,
     SingularRefinement,
-    _refine_h1,
     _solve_correction,
     build_e,
     refine_h1,
@@ -30,38 +29,12 @@ class TestBuildE:
     def test_zero_coefficient_gives_zero_polynomial(self):
         assert np.array_equal(build_e([0.0]), np.zeros(3))
 
-    def test_m0_rejected(self):
-        with pytest.raises(ValueError):
-            build_e([])
-
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5))
     def test_even_powers_only_and_symmetric(self, free):
         e = build_e(free)
         assert e.size == 4 * len(free) - 1
         assert np.array_equal(e, e[::-1])
         assert not np.any(e[1::2])
-
-
-class TestRefineH1Zeros:
-    """refine_h1 infers m from the zero count and applies DesignSpec's zero rules."""
-
-    def test_empty_zeros_rejected(self, toy_h0, toy_h1):
-        with pytest.raises(ValueError, match="at least one zero frequency"):
-            refine_h1(toy_h0, toy_h1, ())
-
-    @pytest.mark.parametrize(
-        "zeros, message",
-        [
-            ((0.5, 0.3), "strictly increasing"),
-            ((math.pi,), r"lie in \[0, pi\)"),
-            ((-0.1, 0.5), r"lie in \[0, pi\)"),
-        ],
-        ids=["decreasing", "pi", "negative"],
-    )
-    def test_bad_zeros_rejected(self, zeros, message):
-        h0, h1 = certified_pair(6)
-        with pytest.raises(ValueError, match=message):
-            refine_h1(h0, h1, zeros)
 
 
 class TestToyRefinement:
@@ -72,12 +45,12 @@ class TestToyRefinement:
         assert free[0] == pytest.approx(-toy_h1.sum() / (2 * toy_h0.sum()), abs=1e-15)
 
     def test_refined_taps(self, toy_h0, toy_h1):
-        h1p = _refine_h1(toy_h0, toy_h1, (0.0,))
+        h1p = refine_h1(toy_h0, toy_h1, (0.0,))
         assert np.allclose(h1p, TOY_REFINED, atol=1e-12)
         assert poly.amplitude(h1p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_refined_transfer_is_shifted_delay(self, toy_h0, toy_h1):
-        h1p = _refine_h1(toy_h0, toy_h1, (0.0,))
+        h1p = refine_h1(toy_h0, toy_h1, (0.0,))
         report = verify_pr(toy_h0, h1p)
         assert report.delay == 5
         assert report.scale == pytest.approx(1.0, abs=1e-12)
@@ -163,34 +136,6 @@ class TestStructure:
         msg = str(exc.value)
         assert f"min |A0(w_q)| = {abs(float(poly.amplitude(h0, 0.0))):.3e}" in msg
         assert "cond(C) = " in msg
-
-    def test_wrong_mate_length_rejected(self):
-        h0, _ = certified_pair(6)
-        with pytest.raises(ValueError):
-            refine_h1(h0, np.array([1.0, 2.0, 1.0]), (0.0,))
-
-    @pytest.mark.parametrize(
-        "name, fault, message",
-        [
-            ("h0", "asymmetric", "h0 must have odd length and mirror symmetry"),
-            ("h1", "asymmetric", "h1 must have odd length and mirror symmetry"),
-            ("h1", "even-length", "h1 must have odd length and mirror symmetry"),
-            ("h0", "nan", "finite"),
-            ("h1", "nan", "finite"),
-        ],
-    )
-    def test_malformed_pair_rejected(self, name, fault, message):
-        pair = dict(zip(("h0", "h1"), certified_pair(6)))
-        h = pair[name].copy()
-        if fault == "asymmetric":
-            h[0] += 1.0
-        elif fault == "nan":
-            h[h.size // 2] = np.nan
-        else:
-            h = np.append(h, h[0])
-        pair[name] = h
-        with pytest.raises(ValueError, match=message):
-            refine_h1(pair["h0"], pair["h1"], (0.0,))
 
 
 def convolution_system(h0, h1, zs):
