@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prqmf import poly
+from prqmf import poly, refine
+from prqmf.bank import design_bank
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
 from prqmf.qmf_core import DegeneratePassband, SingularSystem, basic_mate
 from prqmf.analysis import transfer, verify_pr
@@ -35,6 +36,35 @@ class TestBuildE:
         assert e.size == 4 * len(free) - 1
         assert np.array_equal(e, e[::-1])
         assert not np.any(e[1::2])
+
+
+class TestRefineH1Zeros:
+    """The refinement takes its zeros only from a DesignSpec, so zeros that break
+    DesignSpec's rules are refused before refine_h1 runs."""
+
+    @staticmethod
+    def refuse(monkeypatch, message, **spec):
+        def must_not_run(*args):
+            raise AssertionError("refine_h1 reached with bad zeros")
+
+        monkeypatch.setattr(refine, "refine_h1", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            design_bank(DesignSpec(n=6, **spec))
+
+    def test_empty_zeros_rejected(self, monkeypatch):
+        self.refuse(monkeypatch, "need exactly m=1 zero frequencies, got 0", m=1, zero_freqs=())
+
+    @pytest.mark.parametrize(
+        "zeros, message",
+        [
+            ((0.5, 0.3), "strictly increasing"),
+            ((math.pi,), r"lie in \[0, pi\)"),
+            ((-0.1, 0.5), r"lie in \[0, pi\)"),
+        ],
+        ids=["decreasing", "pi", "negative"],
+    )
+    def test_bad_zeros_rejected(self, monkeypatch, zeros, message):
+        self.refuse(monkeypatch, message, m=len(zeros), zero_freqs=zeros)
 
 
 class TestToyRefinement:
