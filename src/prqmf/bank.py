@@ -10,7 +10,7 @@ from .qmf_core import basic_mate, normalize_passband
 def design_bank(spec: DesignSpec) -> analysis.FilterBank:
     """Prototype, solve for the mate, refine (if m > 0), assemble, certify."""
     h0 = design_h0(spec)
-    h1 = basic_mate(h0)  # the one check of h0; the later stages take checked arrays
+    h1 = basic_mate(h0)
     if spec.m >= 1:
         h1 = normalize_passband(refine.refine_h1(h0, h1, spec.zero_freqs))
     bank = analysis.FilterBank(h0, h1, spec)

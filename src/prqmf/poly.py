@@ -56,13 +56,6 @@ def _symmetric(p: np.ndarray) -> bool:
     return p.size % 2 == 1 and bool(np.abs(d, out=d).max() <= SYMMETRY_RTOL * np.abs(p).max())
 
 
-def require_symmetric(p, name: str = "filter") -> np.ndarray:
-    p = as_poly(p)
-    if not _symmetric(p):
-        raise ValueError(f"{name} must have odd length and mirror symmetry")
-    return p
-
-
 def amplitude(p, omegas):
     """Zero-phase amplitude A(w) about the midpoint of an odd-length p.
 

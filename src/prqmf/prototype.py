@@ -131,12 +131,13 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     """
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
     # sinc(x) = sin(pi x) / (pi x) at x = w k / (2 pi), rounded as np.sinc
-    # rounds it but without its wrapper's temporaries. At k = 0 a tiny
-    # stand-in for pi x makes sin(y) / y exactly 1, as in np.sinc.
+    # rounds it but without its wrapper's temporaries. Where x is 0 (at k = 0,
+    # or w k / (2 pi) underflowed for a subnormal wp) a tiny stand-in for pi x
+    # makes sin(y) / y exactly 1, as in np.sinc.
     y = np.array(((edges.ws,), (edges.wp,))) * np.arange(-n, n + 1)
     y /= 2 * math.pi
     y *= math.pi
-    y[:, n] = 1e-20
+    y[y == 0.0] = 1e-20
     sinc = np.sin(y)
     sinc /= y
     sinc *= sinc
@@ -145,7 +146,7 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
-    """Symmetric window weights in (0,1] with peak 1 at the center tap of an odd length.
+    """Symmetric window weights in (0,1] with peak 1 at the center tap of an odd length >= 3.
 
     Memoised per (spec, length) and returned read-only, as a sweep designs
     many banks on one window. The cache keeps the last 1024 windows, enough
@@ -153,7 +154,7 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
     weights). Full, at 257 taps (n = 128) each, it holds 2.1 MB of weights,
     under 2.6 MB with array headers and cache entries.
     """
-    if spec.kind == "rectangular" or length == 1:
+    if spec.kind == "rectangular":
         w = np.ones(length)
     elif spec.kind == "hamming":
         w = 0.54 - 0.46 * np.cos(2 * math.pi * np.arange(length) / (length - 1))

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import poly
-
 # Post-solve residual budget relative to the rhs.
 RESIDUAL_RTOL = 1e-9
 
@@ -31,7 +29,7 @@ class DegeneratePassband(Exception):
 
 def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
     """The square mate system (matrix, rhs): one row per odd power 2r+1,
-    r in {0, ..., n-1}, of P(z), for an h0 that `basic_mate` has checked.
+    r in {0, ..., n-1}, of P(z), for the 2n+1 >= 3 tap symmetric h0 that `design_h0` builds.
 
     The weight on unknown b_j is a_{2r+1-j} (-1)^j, out-of-range terms dropped,
     which is g[2n-1+2r-j] for g = -a(-z) behind 2n-2 zeros: one strided view. Past
@@ -93,12 +91,9 @@ def normalize_passband(h1) -> np.ndarray:
 
 
 def basic_mate(h0) -> np.ndarray:
-    """A passband-normalized 2n-1 tap high-pass mate of h0.
+    """A passband-normalized 2n-1 tap high-pass mate of a `design_h0` prototype, unchecked.
 
     Where the mate system is rank-deficient the mate is not unique; the
     caller certifies the pair with analysis.verify_pr.
     """
-    h0 = poly.require_symmetric(h0, "h0")
-    if h0.size < 3:
-        raise ValueError("h0 needs at least 3 taps; no shorter mate exists")
     return normalize_passband(unfold(solve(build_system(h0))))

@@ -15,9 +15,9 @@ DESIGN_ERRORS = (SingularSystem, DegeneratePassband, SingularRefinement, NoDelay
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_one_check_per_design(monkeypatch, m):
-    """design_bank checks its prototype once, in basic_mate; the later stages take
-    checked arrays. FilterBank and the certificate's transfer coerce with as_poly."""
-    calls = {"require_symmetric": 0, "as_poly": 0}
+    """No stage of design_bank checks the prototype's symmetry: design_h0 builds it
+    symmetric. FilterBank and the certificate's transfer coerce with as_poly."""
+    calls = {"_symmetric": 0, "as_poly": 0}
 
     def counting(name):
         fn = getattr(poly, name)
@@ -32,8 +32,7 @@ def test_one_check_per_design(monkeypatch, m):
         monkeypatch.setattr(poly, name, counting(name))
     bank = design_bank(DesignSpec(n=10, m=m))
     assert bank.max_spurious <= 1e-9
-    assert calls["require_symmetric"] == 1
-    assert calls["as_poly"] <= 5
+    assert calls == {"_symmetric": 0, "as_poly": 4}
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -721,7 +721,8 @@ class TestSignalReader:
 
 
 class TestOutputBytes:
-    @pytest.mark.parametrize("grid", [2, 65, 1024])
+    # The last grid spans three chunks of cli.CSV_CHUNK_ROWS rows, the last one partial.
+    @pytest.mark.parametrize("grid", [2, 65, 1024, 2 * cli.CSV_CHUNK_ROWS + 3])
     def test_response_csv_matches_per_row_writes(self, tmp_path, grid):
         _, bankfile = design(tmp_path, n=10)
         out = tmp_path / "resp.csv"
@@ -734,6 +735,18 @@ class TestOutputBytes:
         for row in zip(*(col.tolist() for col in (w, *mags, *map(cli._mag_db, mags)))):
             want.write(",".join(map(repr, row)) + "\n")
         assert out.read_bytes() == want.getvalue().encode()
+
+    def test_process_over_chunks_is_one_string(self, tmp_path):
+        """y spans three chunks of CSV_CHUNK_ROWS rows, the last one partial; the file is
+        the bytes of y formatted as one string."""
+        _, bankfile = design(tmp_path, n=10)
+        sig, out = tmp_path / "x.csv", tmp_path / "y.csv"
+        x = np.random.default_rng(8).standard_normal(2 * cli.CSV_CHUNK_ROWS + 5)
+        write_signal(sig, x)
+        assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
+        y = analysis.process_bank(load_bank(str(bankfile)), x).y
+        assert y.size > 2 * cli.CSV_CHUNK_ROWS
+        assert out.read_bytes() == ("\n".join(map(repr, y.tolist())) + "\n").encode()
 
     def test_design_file_is_indented_json(self, tmp_path):
         _, bankfile = design(tmp_path, "--refine", "2", n=9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact
 from prqmf import poly
 from prqmf.analysis import verify_pr
 from prqmf.bank import design_bank
@@ -52,15 +53,6 @@ class TestBuildSystem:
         assert np.array_equal(mat, ref)
         assert np.array_equal(h0, before)
         assert not np.shares_memory(mat, h0)
-
-    # build_system takes checked arrays; basic_mate checks h0 before building the system.
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            basic_mate([1.0])
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            basic_mate([1.0, 2.0, 3.0])
 
 
 class TestSolve:
@@ -268,6 +260,34 @@ class TestExactZeroPivot:
         assert bank.max_spurious <= 1e-9
         assert bank.delay == 2 * spec.n - 1 + 2 * spec.m
         assert bank.h1.size == 2 * spec.n + 4 * spec.m - 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in EXACT_ZERO_PIVOT if s.n == 32 or (s.n, s.window.kind) == (47, "rectangular")],
+    ids=lambda s: f"n{s.n}-{s.window.kind}-m{s.m}",
+)
+def test_exact_mate_next_to_lu_and_lstsq(spec):
+    """The exact mate system of these float prototypes has full rank, so an exact zero
+    pivot is a floating-point event. Its one exact mate is the pure delay (||h1||_1 = 1 to
+    within 1e-6 when recorded); lstsq's minimum-norm mate, which `solve` takes where LU meets
+    the zero pivot, is another PR mate with ||h1||_1 of 1.93-1.98 and ||h1||_2 of 0.83-0.85."""
+    h0 = design_h0(spec)
+    x, rank = exact.solve(*exact.mate_system(exact.rational(h0)))
+    assert rank == spec.n
+    system = build_system(h0)
+    mates = {"exact": np.array(x, dtype=float), "lstsq": np.linalg.lstsq(*system, rcond=None)[0]}
+    try:
+        mates["lu"] = np.linalg.solve(*system)
+    except np.linalg.LinAlgError:  # the exact zero pivot
+        pass
+    assert np.array_equal(solve(system), mates.get("lu", mates["lstsq"]))
+    h1 = {name: normalize_passband(unfold(b)) for name, b in mates.items()}
+    for mate in h1.values():
+        assert verify_pr(h0, mate).max_spurious <= 1e-9
+    assert np.abs(h1["exact"]).sum() == pytest.approx(1.0, abs=1e-3)
+    assert abs(h1["exact"][spec.n - 1]) == pytest.approx(1.0, abs=1e-3)
+    assert np.abs(h1["lstsq"]).sum() > 1.5 and np.linalg.norm(h1["lstsq"]) < 0.9
 
 
 HALF_BAND_WINDOWS = [WindowSpec("rectangular"), WindowSpec("hamming")] + [

@@ -124,7 +124,7 @@ class TestStructure:
         zs = DesignSpec(n=8, edges=edges, m=m).zero_freqs
         h1p = refine_h1(h0, h1, zs)
         assert h1p.size == 2 * 8 + 4 * m - 1
-        poly.require_symmetric(h1p)
+        assert poly._symmetric(h1p)
         amps = poly.amplitude(h1p, np.array(zs))
         assert np.all(np.abs(amps) <= 1e-10 * np.abs(h1p).max())
 
