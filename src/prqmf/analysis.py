@@ -90,10 +90,37 @@ class ResponseMetrics:
 
 @dataclass(frozen=True, eq=False)
 class ProcessReport:
+    """`process_bank`'s output `y`, the float signal `x` it filtered and the bank.
+    `x` is the caller's array when it already was a float array (no copy), and the
+    score reads it: change `x` before the first read of `max_rel_error` and the
+    score changes with it."""
+
     y: np.ndarray
-    max_rel_error: float
-    delay: int
-    scale: float
+    x: np.ndarray
+    bank: FilterBank
+
+    @property
+    def delay(self) -> int:
+        return self.bank.delay
+
+    @property
+    def scale(self) -> float:
+        return self.bank.scale
+
+    @cached_property
+    def max_rel_error(self) -> float:
+        """max|y[2d:n] - c x[d:n-d]| / (|c| max|x|) over the steady state (the `delay`
+        samples at each end are transients), in one pass on first read. NaN for
+        n <= 2 * delay, which has no steady state; 0.0 for an all-zero signal."""
+        x, d, c = self.x, self.delay, self.scale
+        if x.size <= 2 * d:
+            return math.nan
+        peak = max(float(x.max()), -float(x.min()))
+        if peak == 0.0:
+            return 0.0
+        e = np.multiply(x[d : x.size - d], c)
+        np.subtract(self.y[2 * d : x.size], e, out=e)
+        return float(np.abs(e, out=e).max()) / (abs(c) * peak)
 
 
 def transfer(h0, h1) -> np.ndarray:
@@ -143,19 +170,17 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     two, set by the filter lengths alone (`_block_geometry`). Blocks start at
     even samples, so down-sampling by 2 and then up-sampling by 2, which zeroes
     the odd samples, is the spectral fold V = (S + conj(S[::-1])) / 2 on each
-    block. Blocks run in batches through spectral, output and score buffers
-    allocated once per call; each block's head is written to `y` and its tail
-    carried into the next block. `y` has len(x) + len(h0) + len(h1) - 2 samples
-    and agrees with direct convolution to round-off. The reconstruction error is
-    the max over the steady state, scored batch by batch as each part of `y`
-    becomes final: the `delay` samples at each end of the signal are transients.
-    A signal of at most 2 * delay samples has no steady state, and its
-    `max_rel_error` is NaN.
+    block. Blocks run in batches through spectral and output buffers allocated
+    once per call; each block's head is written to `y` and its tail carried
+    into the next block. `y` has len(x) + len(h0) + len(h1) - 2 samples and
+    agrees with direct convolution to round-off. A non-finite sample raises
+    ValueError before any output. The report scores the reconstruction only
+    when `max_rel_error` is first read, in one pass after the loop.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-D sequence")
-    d, c = bank.delay, bank.scale
+    bank.certificate  # the report's delay and scale: NoDelayFound is raised before any output
     tail = bank.h0.size + bank.h1.size - 2
     size, hop, rows = _block_geometry(tail)
     blocks = -(-x.size // hop)
@@ -169,15 +194,12 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     # reused by every batch; the fold reverses into R, as in place forces a copy
     X, S, R = np.empty((3, rows, size // 2 + 1), complex)
     yb = np.empty((rows, size))
-    buf = np.empty(rows * hop)
     carry = np.zeros(tail)
-    peak, err = 0.0, 0.0
     for b in range(0, blocks, rows):
         r = min(rows, blocks - b)
         seg = x[b * hop : (b + r) * hop]
         # NaN and +-inf reach the batch's max or min; checked before its FFT
-        top, bottom = seg.max(), seg.min()
-        if not (math.isfinite(top) and math.isfinite(bottom)):
+        if not (math.isfinite(seg.max()) and math.isfinite(seg.min())):
             raise ValueError("signal samples must be finite")
         xb = seg if seg.size == r * hop else np.concatenate((seg, np.zeros(r * hop - seg.size)))
         np.fft.rfft(xb.reshape(r, hop), size, out=X[:r])
@@ -192,20 +214,8 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
         ys[b, :tail] += carry
         ys[b + 1 : b + r, :tail] += yb[: r - 1, hop : hop + tail]
         carry[:] = yb[r - 1, hop : hop + tail]
-        # rows b .. b + r - 1 are final (the next batch reaches row b + r only)
-        peak = max(peak, top, -bottom)
-        lo, hi = max(2 * d, b * hop), min(x.size, (b + r) * hop)
-        if lo < hi:
-            e = np.multiply(x[lo - d : hi - d], c, out=buf[: hi - lo])
-            np.subtract(y[lo:hi], e, out=e)
-            err = np.maximum(err, np.abs(e, out=e).max())
     y[blocks * hop :] = carry
-    y = y[: x.size + tail]
-    if 2 * d < x.size:
-        max_rel = float(err) / (abs(c) * float(peak)) if peak > 0.0 else 0.0
-    else:
-        max_rel = math.nan
-    return ProcessReport(y=y, max_rel_error=max_rel, delay=d, scale=c)
+    return ProcessReport(y=y[: x.size + tail], x=x, bank=bank)
 
 
 def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -112,18 +113,21 @@ def _mag_db(mag: np.ndarray) -> np.ndarray:
 
 
 def _read_signal(path: str) -> np.ndarray:
-    """One sample per line (LF or CRLF); a first line that is not a number is a header."""
+    """One sample per line (LF or CRLF); a first line that is not a number is a header.
+    Read line by line into one float array, so no list of lines or floats is held."""
     with open(path, "rb") as fh:
-        lines = [ln for ln in fh.read().split(b"\n") if ln.strip()]
-    for header in (0, 1):
+        lines = filter(bytes.strip, fh)  # blank and whitespace-only lines dropped
         try:
-            x = np.array([float(ln) for ln in lines[header:]])
+            head = [float(next(lines, b""))]
+        except ValueError:  # a header, or no line at all
+            head = []
+        try:
+            x = np.fromiter(itertools.chain(head, map(float, lines)), float)
         except ValueError:
-            continue
-        if np.all(np.isfinite(x)):
-            return x
-        break
-    raise SignalFileError(f"signal {path} has a sample that is not a finite number")
+            x = None
+    if x is None or not np.all(np.isfinite(x)):
+        raise SignalFileError(f"signal {path} has a sample that is not a finite number")
+    return x
 
 
 def _write_rows(path: str, header: str, cols) -> None:

@@ -264,7 +264,7 @@ def allocating_process_bank(bank, x):
     """process_bank with fresh FFT outputs and fold temporaries for every batch,
     a zero-filled staging array that heads and tails are added into, and the
     steady state scored in one pass after the loop. The reused buffers, written
-    heads, carried tails and per-batch score must give the same bits:
+    heads, carried tails and the report's lazy score must give the same bits:
     (y, max_rel_error)."""
     x = np.asarray(x, dtype=float)
     d, c = bank.delay, bank.scale
@@ -366,8 +366,8 @@ class TestProcessBankBatches:
             process_bank(bank10, x)
 
     def test_nan_in_a_later_batch_survives_the_max(self, bank10):
-        # an overflowing sample turns part of y into NaN; one pass over the
-        # whole steady state reports NaN, and so must the per-batch max
+        # an overflowing sample turns part of y into NaN; the score, read after
+        # the errstate block, must report NaN and warn about nothing
         hop, rows = block_geometry(bank10)
         x = np.random.default_rng(23).standard_normal(3 * rows * hop)
         x[rows * hop + 5] = 1.7e308
@@ -396,6 +396,28 @@ class TestProcessBankBatches:
             # second ends before it
             for n in (3 * rows * hop - 1, 3 * rows * hop + 5):
                 assert_same_bits(bank, rng.standard_normal(n))
+
+
+class TestLazyScore:
+    """process_bank only filters; the report scores on first read and keeps the score."""
+
+    def test_fields_are_output_signal_and_bank(self, bank10):
+        x = np.random.default_rng(31).standard_normal(4096)
+        report = process_bank(bank10, x)
+        assert [f.name for f in dataclasses.fields(report)] == ["y", "x", "bank"]
+        assert report.x is x and report.bank is bank10
+        assert (report.delay, report.scale) == (bank10.delay, bank10.scale)
+
+    def test_score_waits_for_its_first_read(self, stream_banks):
+        bank = stream_banks[1]
+        hop, rows = block_geometry(bank)
+        x = np.random.default_rng(37).standard_normal(2 * rows * hop + 7)
+        report = process_bank(bank, x)
+        assert "max_rel_error" not in report.__dict__
+        _, want = allocating_process_bank(bank, x)
+        first = report.max_rel_error
+        assert first == want
+        assert report.max_rel_error is first
 
 
 def test_bank_and_report_compare_by_identity(bank10):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 
@@ -350,6 +351,7 @@ class TestProcess:
         write_signal(sig, np.ones(16))
         assert main(["process", str(path), "--in", str(sig), "--out", str(tmp_path / "y.csv")]) == 1
         assert_one_error_line(capsys.readouterr().err, "NoDelayFound")
+        assert not (tmp_path / "y.csv").exists()
 
     def test_missing_signal_file(self, tmp_path):
         _, bankfile = design(tmp_path)
@@ -663,7 +665,7 @@ class TestParserReuse:
 
 
 def per_line_read_signal(path):
-    """The reader before it read the file in one call: one `float` per line of the file."""
+    """The reference reader: a list of the file's non-blank lines, one `float` per line."""
     with open(path, "rb") as fh:
         lines = [ln for ln in fh if ln.strip()]
     for header in (0, 1):
@@ -708,6 +710,20 @@ class TestSignalReader:
             assert np.array_equal(got, want)
         else:
             assert got is want
+
+    def test_peak_memory_is_near_the_array(self, tmp_path):
+        # a list of lines or of floats would cost many times the array's 1.6 MB
+        path = tmp_path / "x.csv"
+        x = np.random.default_rng(41).standard_normal(200_000)
+        write_signal(path, x, header=True)
+        tracemalloc.start()
+        try:
+            got = cli._read_signal(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, x)
+        assert peak < 3 * got.nbytes
 
     def test_crlf_signal_processes(self, tmp_path):
         _, bankfile = design(tmp_path, n=6)
