@@ -130,17 +130,9 @@ def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     up to wp, linear fall to zero at ws. n is a `DesignSpec`'s, so it is not checked again.
     """
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
-    # sinc(x) = sin(pi x) / (pi x) at x = w k / (2 pi), rounded as np.sinc
-    # rounds it but without its wrapper's temporaries. Where x is 0 (at k = 0,
-    # or w k / (2 pi) underflowed for a subnormal wp) a tiny stand-in for pi x
-    # makes sin(y) / y exactly 1, as in np.sinc.
-    y = np.array(((edges.ws,), (edges.wp,))) * np.arange(-n, n + 1)
-    y /= 2 * math.pi
-    y *= math.pi
-    y[y == 0.0] = 1e-20
-    sinc = np.sin(y)
-    sinc /= y
-    sinc *= sinc
+    # np.sinc is exactly 1 wherever w k / (2 pi) is 0, also where it underflowed for a subnormal wp
+    k = np.arange(-n, n + 1)
+    sinc = np.sinc(np.array(((edges.ws,), (edges.wp,))) * k / (2 * math.pi)) ** 2
     return edges.ws**2 / denom * sinc[0] - edges.wp**2 / denom * sinc[1]
 
 
@@ -158,17 +150,13 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
         w = np.ones(length)
     elif spec.kind == "hamming":
         w = 0.54 - 0.46 * np.cos(2 * math.pi * np.arange(length) / (length - 1))
+    elif spec.kind == "kaiser":
+        w = np.kaiser(length, KAISER_DEFAULT_BETA if spec.param is None else spec.param)
     else:
         mid = (length - 1) // 2
         x = (np.arange(length) - mid) / mid
-        if spec.kind == "gaussian":
-            alpha = GAUSSIAN_DEFAULT_ALPHA if spec.param is None else spec.param
-            w = np.exp(-0.5 * (alpha * x) ** 2)
-        else:
-            beta = KAISER_DEFAULT_BETA if spec.param is None else spec.param
-            # The center tap has x = 0, so it holds I0(beta).
-            w = np.i0(beta * np.sqrt(1.0 - x * x))
-            w /= w[mid]
+        alpha = GAUSSIAN_DEFAULT_ALPHA if spec.param is None else spec.param
+        w = np.exp(-0.5 * (alpha * x) ** 2)
     w.flags.writeable = False
     return w
 

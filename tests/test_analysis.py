@@ -355,8 +355,8 @@ class TestProcessBankBatches:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["first", "batch-end", "batch-start", "last"])
     def test_non_finite_sample_in_any_batch_rejected(self, bank10, bad, where):
-        # the finiteness check rides on each batch's extrema, so a bad sample
-        # must be caught in whichever batch holds it
+        # finiteness is checked batch by batch, so a bad sample must be caught
+        # in whichever batch holds it
         hop, rows = block_geometry(bank10)
         x = np.ones(150_000)
         assert x.size > rows * hop
@@ -367,15 +367,19 @@ class TestProcessBankBatches:
 
     def test_nan_in_a_later_batch_survives_the_max(self, bank10):
         # an overflowing sample turns part of y into NaN; the score, read after
-        # the errstate block, must report NaN and warn about nothing
+        # the errstate block, must report NaN and warn about nothing. The second
+        # batch holds finite samples only, so it must not raise: +-1.7e308 are
+        # finite, but their squares and their difference overflow, which a
+        # finiteness check by a sum of squares or by max - min would reject
         hop, rows = block_geometry(bank10)
-        x = np.random.default_rng(23).standard_normal(3 * rows * hop)
-        x[rows * hop + 5] = 1.7e308
-        with np.errstate(all="ignore"):
-            want_y, want_err = allocating_process_bank(bank10, x)
-            report = process_bank(bank10, x)
-        assert math.isnan(want_err) and math.isnan(report.max_rel_error)
-        assert np.array_equal(report.y, want_y, equal_nan=True)
+        for big in ([1.7e308], [1.7e308, -1.7e308]):
+            x = np.random.default_rng(23).standard_normal(3 * rows * hop)
+            x[rows * hop + 5 : rows * hop + 5 + len(big)] = big
+            with np.errstate(all="ignore"):
+                want_y, want_err = allocating_process_bank(bank10, x)
+                report = process_bank(bank10, x)
+            assert math.isnan(want_err) and math.isnan(report.max_rel_error)
+            assert np.array_equal(report.y, want_y, equal_nan=True)
 
     def test_no_stale_memory_reaches_y(self, stream_banks):
         # y comes from np.empty and the batches from reused buffers, so memory

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prqmf import poly
 from prqmf.bank import design_bank
@@ -65,19 +65,29 @@ class TestTrapezoidTaps:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(1, 128),
+        st.integers(1, N_MAX),
         st.lists(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
                  min_size=2, max_size=2, unique=True),
     )
+    @example(N_MAX, [5e-324, 1.0])
+    @example(7, [2.2e-308, 3.0])
     def test_bytes_match_np_sinc(self, n, band):
-        # the squared-sinc difference as written before, through np.sinc; a subnormal
-        # edge makes w k / (2 pi) underflow to 0 at k != 0 too
+        # trapezoid_taps runs on np.sinc; the reference is sin(pi x) / (pi x) written
+        # out, with a tiny stand-in for pi x where x = w k / (2 pi) is 0, so a NumPy
+        # release that rounds np.sinc differently fails here instead of moving designs.
+        # A subnormal wp makes x underflow to 0 at k != 0 too.
         edges = BandEdges(*sorted(band))
         denom = 2.0 * math.pi * (edges.ws - edges.wp)
         c0 = edges.ws**2 / denom
         b0 = edges.wp**2 / denom
-        k = np.arange(-n, n + 1)
-        want = c0 * np.sinc(edges.ws * k / (2 * math.pi)) ** 2 - b0 * np.sinc(edges.wp * k / (2 * math.pi)) ** 2
+        y = np.array(((edges.ws,), (edges.wp,))) * np.arange(-n, n + 1)
+        y /= 2 * math.pi
+        y *= math.pi
+        y[y == 0.0] = 1e-20
+        sinc = np.sin(y)
+        sinc /= y
+        sinc *= sinc
+        want = c0 * sinc[0] - b0 * sinc[1]
         taps = trapezoid_taps(edges, n)
         assert taps.tobytes() == want.tobytes()
         assert taps[n] == c0 - b0
@@ -130,11 +140,19 @@ class TestWindows:
             with pytest.raises(ValueError, match="only the centre tap"):
                 design_bank(spec)
 
-    def test_kaiser_matches_numpy(self):
-        # numpy.kaiser is an independent implementation of the same window
-        for beta in (1.0, 4.5, 8.0):
-            ours = window_weights(WindowSpec("kaiser", beta), 21)
-            assert np.allclose(ours, np.kaiser(21, beta), atol=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 2048).map(lambda h: 2 * h + 1), st.floats(0.0, KAISER_BETA_MAX))
+    @example(3, 0.0)
+    @example(4097, KAISER_BETA_MAX)
+    def test_kaiser_matches_numpy(self, length, beta):
+        # window_weights runs on np.kaiser; the reference is I0(beta sqrt(1 - x^2)) / I0(beta)
+        # written out on x = (k - mid) / mid, so a NumPy release that rounds np.kaiser
+        # differently fails here instead of moving designs
+        mid = (length - 1) // 2
+        x = (np.arange(length) - mid) / mid
+        want = np.i0(beta * np.sqrt(1.0 - x * x))
+        want /= want[mid]
+        assert window_weights.__wrapped__(WindowSpec("kaiser", beta), length).tobytes() == want.tobytes()
 
     def test_cached_window_is_read_only(self):
         spec = WindowSpec("kaiser", 4.0)
