@@ -8,18 +8,23 @@ points of `sweep.run_sweep` (each design it makes, and its scores) and the
 4,096 `design_long` specs of each of bench seeds 1-4, built by the NEW
 checkout's `bench/workloads.py`. For every design it compares h0, h1,
 delay, scale, max_spurious and zero_freqs bit for bit, or the type and
-message of the exception raised. It prints one count per group and exits 1
-on any difference.
+message of the exception raised. It also compares the SHA-256 of
+`process_bank(bank, x).y` for the `stream` workload's two banks on its
+seed-1 2^20-sample signal and on a 150,001-sample prefix of it, which ends
+in a partial batch. It prints one count per group and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4)
+PREFIX = 150_001  # not a whole number of batches for either stream bank
 
 
 def outcome(design_bank, spec):
@@ -35,7 +40,7 @@ def record(lib_root: str, bench_root: str) -> dict[str, list]:
     sys.path[:0] = [str(Path(lib_root) / "src"), str(Path(bench_root) / "bench")]
     import prqmf.bank
     import prqmf.sweep
-    from workloads import DesignLong
+    from workloads import DesignLong, Stream
 
     design_bank = prqmf.bank.design_bank
     sweep_designs = []
@@ -50,6 +55,12 @@ def record(lib_root: str, bench_root: str) -> dict[str, list]:
     for seed in SEEDS:
         specs = DesignLong(prqmf, seed, Path(".")).specs
         groups[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs]
+    stream = Stream(prqmf, 1, Path("."))
+    groups["stream signal path"] = [
+        hashlib.sha256(prqmf.analysis.process_bank(bank, x).y.tobytes()).hexdigest()
+        for bank in stream.banks
+        for x in (stream.x, stream.x[:PREFIX])
+    ]
     return groups
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Post-solve residual budget relative to the rhs.
+# Post-solve residual budget relative to the rhs (or, after LU, to |A||x| + |b|).
 RESIDUAL_RTOL = 1e-9
 
 
@@ -56,22 +56,33 @@ def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     meets an exact zero pivot the system is rank-deficient but may be consistent (a
     half-band prototype has the pure delay as a mate), so LAPACK's minimum-norm
     least-squares solution is taken instead. Either is accepted only on a small residual
-    in every rhs column."""
+    in every rhs column: relative to the column's max |b|, or for LU, which may return
+    large taps, to its normwise backward error."""
     a, b = system
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     try:
         x, why = np.linalg.solve(a, b), "system is ill-conditioned"
+        lu = True
     except np.linalg.LinAlgError:
         x, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
         ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0  # 0 for the zero matrix
         why = f"inconsistent system, sigma_min/sigma_max = {ratio:.3e}"
+        lu = False
     r = a @ x
     r -= b
     residual = np.abs(r, out=r).max(axis=0)
-    # Written as `not <=` so that a NaN residual is rejected too.
-    if not (residual <= RESIDUAL_RTOL * np.maximum(np.abs(b).max(axis=0), 1e-300)).all():
-        raise SingularSystem(f"residual {residual.max():.3e} too large; {why}")
-    return x
+    b_max = np.abs(b).max(axis=0)
+    # `<=` is False for a NaN residual, so NaN is rejected too.
+    ok = residual <= RESIDUAL_RTOL * np.maximum(b_max, 1e-300)
+    if ok.all():
+        return x
+    if lu:
+        # backward stable in the inf-norm (Higham, Accuracy and Stability of Numerical
+        # Algorithms, sec. 7.1); computed only here, as it costs a third of a small solve
+        bound = RESIDUAL_RTOL * (np.abs(a).sum(axis=1).max() * np.abs(x).max(axis=0) + b_max)
+        if (ok | (np.isfinite(bound) & (residual <= bound))).all():
+            return x
+    raise SingularSystem(f"residual {residual.max():.3e} too large; {why}")
 
 
 def unfold(b) -> np.ndarray:

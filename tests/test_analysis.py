@@ -333,12 +333,16 @@ class TestProcessBankBatches:
     @given(st.data(), st.integers(0, 2**32 - 1))
     def test_reused_buffers_match_allocating_loop(self, stream_banks, data, seed):
         # the lengths of test_blocks_match_decimate_then_expand, on its pairs
-        # and on the stream banks
+        # and on the stream banks; the batches are copied into full-length rows,
+        # so the signal may also be a strided or a reversed view
         rng = np.random.default_rng(seed)
         bank = draw_bank(data, rng, stream_banks)
         hop, rows = block_geometry(bank)
         blocks = data.draw(st.sampled_from([1, 2, 3, rows, rows + 1]))
-        x = rng.uniform(-1, 1, max(1, blocks * hop + data.draw(st.integers(-1, 1))))
+        n = max(1, blocks * hop + data.draw(st.integers(-1, 1)))
+        layout = data.draw(st.sampled_from(["contiguous", "every-other", "reversed"]))
+        x = rng.uniform(-1, 1, 2 * n)
+        x = {"contiguous": x[:n], "every-other": x[::2], "reversed": x[:n][::-1]}[layout]
         assert_same_bits(bank, x)
 
     @pytest.mark.parametrize("index", [0, 1], ids=["n10-hamming-m1", "n40-kaiser-m2"])

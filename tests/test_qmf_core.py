@@ -78,6 +78,13 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve((np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)))
 
+    def test_overflowing_solution_is_singular(self):
+        # LU overflows x[0] to inf and the residual is inf, not NaN; so is the
+        # backward-error bound |A||x| + |b|, which must not accept it
+        a = np.array([[1e-300, 1e-300], [1e-300, 2e-300]])
+        with pytest.raises(SingularSystem, match="residual inf too large"):
+            solve((a, np.array([1e10, 1e10])))
+
     def test_two_column_rhs_matches_column_solves(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
@@ -89,13 +96,13 @@ class TestSolve:
             np.testing.assert_allclose(x[:, j], solve((a, b[:, j])), rtol=1e-12, atol=1e-15)
 
     def test_residual_gate_is_per_column(self):
-        # column 0 lies along the large singular direction and solves exactly;
-        # column 1, of scale 1e-20, along the small one, leaves a residual near
-        # 1e-24: within column 0's budget, far outside its own
-        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-        b = np.array([[1.0, 1e-20], [1.0, -1e-20]])
+        # an exactly singular matrix, so least squares solves it: column 0 lies in
+        # its range and solves exactly; column 1, of scale 1e-20, lies outside it
+        # and leaves a residual of 1e-20: within column 0's budget, far outside its own
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        b = np.array([[1.0, 0.0], [0.0, 1e-20]])
         assert np.array_equal(solve((a, b[:, 0])), [1.0, 0.0])
-        with pytest.raises(SingularSystem):
+        with pytest.raises(SingularSystem, match="inconsistent system"):
             solve((a, b))
 
 
