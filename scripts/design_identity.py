@@ -12,7 +12,9 @@ message of the exception raised. It also compares the SHA-256 of
 `process_bank(bank, x).y` for the `stream` workload's two banks on its
 seed-1 2^20-sample signal and on a 150,001-sample prefix of it, which ends
 in a partial batch. It prints one count per group and exits 1 on any
-difference.
+difference. For each group of designs it also counts how many of the moved
+designs have a half-band prototype, by NEW's `qmf_core.is_half_band` on the
+recorded h0: the designs whose mate is the pure delay.
 """
 
 from __future__ import annotations
@@ -77,12 +79,23 @@ def main(argv: list[str]) -> int:
         return 0
     old_root, new_root = argv
     old, new = run(old_root, new_root), run(new_root, new_root)
+    sys.path.insert(0, str(Path(new_root) / "src"))
+    import numpy as np
+    from prqmf.qmf_core import is_half_band
+
     same_everywhere = True
     for group, want in old.items():
         got = new[group]
         same = sum(a == b for a, b in zip(want, got)) if len(want) == len(got) else 0
         raised = sum(a[0] == "raised" for a in want)
-        print(f"{group}: {same} of {len(want)} identical, {raised} raised")
+        line = f"{group}: {same} of {len(want)} identical, {raised} raised"
+        if group.startswith(("run_sweep designs", "design_long")) and len(want) == len(got):
+            # a moved design's h0, from whichever side did not raise
+            moved = [(a, b) for a, b in zip(want, got) if a != b]
+            h0s = [next((o[0] for o in pair if o[0] != "raised"), None) for pair in moved]
+            half = sum(h0 is not None and is_half_band(np.frombuffer(h0)) for h0 in h0s)
+            line += f", {half} of the {len(h0s)} moved half-band"
+        print(line)
         same_everywhere &= same == len(want)
     print("identical" if same_everywhere else "DIFFERENT")
     return 0 if same_everywhere else 1

@@ -4,11 +4,12 @@ Given a symmetric low-pass H0 with 2n+1 taps, the product
 P(z) = H0(z) H1(-z) must have all odd-power coefficients zero except the
 central one. Folding the symmetry of H1 into the unknowns yields a dense
 n x n system for the 2n-1 tap mate. `solve` is the package's one linear
-solver, for this system and for the refinement's. The system can be
-rank-deficient when H0(z) and H0(-z) nearly share zeros; LU then picks one
-solution (or, at an exact zero pivot, least squares picks the minimum-norm
-one), and the solve residual and the PR certificate decide whether it is
-accepted.
+solver, for this system and for the refinement's. A half-band prototype
+(wp + ws = pi) skips the system: its unique mate is the pure delay. Otherwise
+the system can be rank-deficient when H0(z) and H0(-z) nearly share zeros;
+LU then picks one solution (or, at an exact zero pivot, least squares picks
+the minimum-norm one), and the solve residual and the PR certificate decide
+whether it is accepted.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 # Post-solve residual budget relative to the rhs (or, after LU, to |A||x| + |b|).
 RESIDUAL_RTOL = 1e-9
+# Largest even off-centre tap of a half-band prototype, relative to its centre tap.
+HALF_BAND_RTOL = 1e-12
 
 
 class SingularSystem(Exception):
@@ -53,11 +56,10 @@ def build_system(h0) -> tuple[np.ndarray, np.ndarray]:
 def solve(system: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """LAPACK LU with partial pivoting on a square (matrix, rhs) pair that its caller built,
     so its shape is not checked: the mate's taps, or the refinement's [rhs | I]. Where LU
-    meets an exact zero pivot the system is rank-deficient but may be consistent (a
-    half-band prototype has the pure delay as a mate), so LAPACK's minimum-norm
-    least-squares solution is taken instead. Either is accepted only on a small residual
-    in every rhs column: relative to the column's max |b|, or for LU, which may return
-    large taps, to its normwise backward error."""
+    meets an exact zero pivot the system is rank-deficient but may be consistent, so
+    LAPACK's minimum-norm least-squares solution is taken instead. Either is accepted
+    only on a small residual in every rhs column: relative to the column's max |b|, or
+    for LU, which may return large taps, to its normwise backward error."""
     a, b = system
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     try:
@@ -101,10 +103,26 @@ def normalize_passband(h1) -> np.ndarray:
     return h1 / gain
 
 
+def is_half_band(h0) -> bool:
+    """Whether every even off-centre tap of a symmetric 2n+1 tap h0 is at most
+    HALF_BAND_RTOL times its centre tap, as for a trapezoid with wp + ws = pi."""
+    a = np.asarray(h0, dtype=float)
+    n = a.size // 2
+    # The taps are symmetric, so the left half holds every even off-centre tap.
+    return bool(np.abs(a[n % 2 : n : 2]).max(initial=0.0) <= HALF_BAND_RTOL * abs(a[n]))
+
+
 def basic_mate(h0) -> np.ndarray:
     """A passband-normalized 2n-1 tap high-pass mate of a `design_h0` prototype, unchecked.
 
-    Where the mate system is rank-deficient the mate is not unique; the
+    A half-band h0 has H0(z) + (-1)^n H0(-z) = 2 h_c z^-n, so H0(z) and H0(-z)
+    share no zero and its mate is unique (the Bezout condition for two-channel PR):
+    the pure delay z^-(n-1), returned without building or solving the system.
+    Elsewhere, where the mate system is rank-deficient the mate is not unique; the
     caller certifies the pair with analysis.verify_pr.
     """
+    if is_half_band(h0):
+        h1 = np.zeros(len(h0) - 2)
+        h1[len(h1) // 2] = 1.0
+        return h1
     return normalize_passband(unfold(solve(build_system(h0))))

@@ -7,10 +7,11 @@ configuration, how close each candidate's -10 log10(MSE) scores come to
 the reference (lowpass_db, highpass_db) pair.
 
 The grid has a band-center axis besides the half-width: prototypes
-centered exactly on pi/2 are half-band, which forces their high-pass mate
-to a pure delay and caps the refined high-pass score far below every
-reference value. The reference designs are only reachable with the
-prototype band shifted above pi/2.
+centered exactly on pi/2 are half-band, so H0(z) and H0(-z) share no zero
+and their unique high-pass mate is the pure delay (`qmf_core.basic_mate`
+returns it without a solve). That caps the refined high-pass score far
+below every reference value. The reference designs are only reachable with
+the prototype band shifted above pi/2.
 """
 
 from __future__ import annotations

@@ -35,10 +35,9 @@ def test_one_check_per_design(monkeypatch, m):
     assert calls == {"_symmetric": 0, "as_poly": 4}
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
-def test_every_solve_is_qmf_core_solve(monkeypatch, m):
-    """The mate and the refinement both solve through qmf_core.solve, the name the
-    bench's tracer rebinds in every module that holds it."""
+def counted_solves(monkeypatch) -> list:
+    """The systems qmf_core.solve is called on, rebound as the bench's tracer does
+    in every module that holds it."""
     calls = []
 
     def counting(system):
@@ -47,9 +46,32 @@ def test_every_solve_is_qmf_core_solve(monkeypatch, m):
 
     for module in (qmf_core, refine):
         monkeypatch.setattr(module, "solve", counting)
-    bank = design_bank(DesignSpec(n=10, m=m))
+    return calls
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_every_solve_is_qmf_core_solve(monkeypatch, m):
+    """Off pi/2 the mate and the refinement both solve through qmf_core.solve."""
+    calls = counted_solves(monkeypatch)
+    edges = BandEdges(0.45 * math.pi, 0.65 * math.pi)
+    bank = design_bank(DesignSpec(n=10, edges=edges, m=m))
     assert bank.max_spurious <= 1e-9
     assert len(calls) == (1 if m == 0 else 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_half_band_design_solves_only_the_refinement(monkeypatch, m):
+    """A half-band prototype's mate is the pure delay: neither build_system nor the
+    mate's solve runs, and only the refinement solves."""
+    calls = counted_solves(monkeypatch)
+
+    def refused(h0):
+        raise AssertionError("build_system called on a half-band prototype")
+
+    monkeypatch.setattr(qmf_core, "build_system", refused)
+    bank = design_bank(DesignSpec(n=10, m=m))
+    assert bank.max_spurious <= 1e-9
+    assert len(calls) == (0 if m == 0 else 1)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -71,7 +93,12 @@ def test_refinement_is_refine_refine_h1(monkeypatch, m):
 specs = st.builds(
     DesignSpec,
     n=st.integers(1, 40),
-    edges=st.builds(BandEdges.symmetric, st.floats(0.02 * math.pi, 0.45 * math.pi)),
+    # centred on pi/2 (half-band: the mate is the delay) or off it (the mate is solved)
+    edges=st.builds(
+        lambda c, d: BandEdges((c - d) * math.pi, (c + d) * math.pi),
+        st.sampled_from([0.5, 0.55]),
+        st.floats(0.02, 0.44),
+    ),
     window=st.sampled_from(
         [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]
     ),

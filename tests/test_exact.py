@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import exact
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
-from prqmf.qmf_core import SingularSystem, build_system, solve
+from prqmf.qmf_core import SingularSystem, basic_mate, build_system, is_half_band, solve
 from prqmf.refine import build_e
 
 small_specs = st.builds(
@@ -32,6 +32,14 @@ def prototype(spec) -> np.ndarray:
     except ValueError:  # a degenerate prototype
         assume(False)
     return np.concatenate([h0[: spec.n + 1], h0[spec.n - 1 :: -1]])
+
+
+half_band_specs = st.builds(
+    DesignSpec,
+    n=st.integers(1, 12),
+    edges=st.sampled_from([0.05, 0.1, 0.25, 0.4]).map(lambda d: BandEdges.symmetric(d * math.pi)),
+    window=st.sampled_from([WindowSpec("rectangular"), WindowSpec("hamming"), WindowSpec("kaiser")]),
+)
 
 
 def exact_mate(h0) -> list:
@@ -87,3 +95,21 @@ def test_refinement_keeps_transfer_exactly(spec, free):
         refined[2 * m + k] += c
     zeros = [0] * (2 * m)
     assert exact.transfer(h0, refined) == zeros + exact.transfer(h0, h1) + zeros
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_band_specs)
+def test_half_band_mate_is_the_pure_delay(spec):
+    """With its even off-centre taps (round-off, <= 1e-15) set to 0, a half-band
+    prototype's mate system has full rank and its one exact solution is the delay
+    z^-(n-1): every tap but the centre is 0. `basic_mate` returns that delay exactly."""
+    h0 = prototype(spec)
+    n = spec.n
+    assert is_half_band(h0)
+    centre = h0[n]
+    h0[n % 2 :: 2] = 0.0
+    h0[n] = centre
+    x, rank = exact.solve(*exact.mate_system(exact.rational(h0)))
+    assert rank == n
+    assert not any(x[:-1]) and x[-1] == (-1) ** (n - 1) / exact.rational([centre])[0]
+    assert np.array_equal(basic_mate(design_h0(spec)), np.eye(2 * n - 1)[n - 1])

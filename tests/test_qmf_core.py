@@ -14,6 +14,7 @@ from prqmf.qmf_core import (
     SingularSystem,
     basic_mate,
     build_system,
+    is_half_band,
     normalize_passband,
     solve,
     unfold,
@@ -237,8 +238,8 @@ def half_band(n, wp, ws, kind, param, m):
 
 # Half-band prototypes (centre pi/2) whose mate system LU met an exact zero
 # pivot with OpenBLAS's LAPACK: rank-deficient (sigma_min/sigma_max <= 1.1e-17)
-# but consistent, and the pure delay is a PR mate. The least-squares solution
-# must certify.
+# but consistent, and the pure delay is a PR mate. basic_mate returns that delay
+# without building the system; the least-squares solution certifies as well.
 EXACT_ZERO_PIVOT = [
     half_band(81, 0.6840623201228501, 2.457530333466943, "gaussian", 3.0, 0),
     half_band(71, 0.9083684706164117, 2.233224182973381, "gaussian", 2.5, 1),
@@ -262,6 +263,11 @@ EXACT_ZERO_PIVOT = [
 
 @pytest.mark.parametrize("spec", EXACT_ZERO_PIVOT, ids=lambda s: f"n{s.n}-{s.window.kind}-m{s.m}")
 class TestExactZeroPivot:
+    def test_mate_is_the_delay(self, spec):
+        h0 = design_h0(spec)
+        assert is_half_band(h0)
+        assert np.array_equal(basic_mate(h0), np.eye(2 * spec.n - 1)[spec.n - 1])
+
     def test_design_bank_certifies(self, spec):
         bank = design_bank(spec)
         assert bank.max_spurious <= 1e-9
@@ -277,8 +283,9 @@ class TestExactZeroPivot:
 def test_exact_mate_next_to_lu_and_lstsq(spec):
     """The exact mate system of these float prototypes has full rank, so an exact zero
     pivot is a floating-point event. Its one exact mate is the pure delay (||h1||_1 = 1 to
-    within 1e-6 when recorded); lstsq's minimum-norm mate, which `solve` takes where LU meets
-    the zero pivot, is another PR mate with ||h1||_1 of 1.93-1.98 and ||h1||_2 of 0.83-0.85."""
+    within 1e-6 when recorded), which basic_mate returns; lstsq's minimum-norm mate, which
+    `solve` takes where LU meets the zero pivot, is another PR mate with ||h1||_1 of
+    1.93-1.98 and ||h1||_2 of 0.83-0.85."""
     h0 = design_h0(spec)
     x, rank = exact.solve(*exact.mate_system(exact.rational(h0)))
     assert rank == spec.n
@@ -297,6 +304,22 @@ def test_exact_mate_next_to_lu_and_lstsq(spec):
     assert np.abs(h1["lstsq"]).sum() > 1.5 and np.linalg.norm(h1["lstsq"]) < 0.9
 
 
+# Off pi/2: (centre/pi, half-width/pi), away from the half-band path.
+OFF_HALF_BAND = [(0.55, 0.1), (0.5625, 0.05), (0.6, 0.15), (0.45, 0.2)]
+
+
+@pytest.mark.parametrize("window", [WindowSpec("hamming"), WindowSpec("kaiser", 8.0)])
+@pytest.mark.parametrize("n", [10, 64])
+@pytest.mark.parametrize("centre,delta", OFF_HALF_BAND)
+def test_mate_off_half_band_is_the_solved_mate(centre, delta, n, window):
+    """Off the half-band path basic_mate is the normalized, unfolded solve, bit for bit."""
+    edges = BandEdges((centre - delta) * math.pi, (centre + delta) * math.pi)
+    h0 = design_h0(DesignSpec(n=n, edges=edges, window=window))
+    assert not is_half_band(h0)
+    want = normalize_passband(unfold(solve(build_system(h0))))
+    assert basic_mate(h0).tobytes() == want.tobytes()
+
+
 HALF_BAND_WINDOWS = [WindowSpec("rectangular"), WindowSpec("hamming")] + [
     WindowSpec(kind, param)
     for kind, params in (("gaussian", (2.0, 2.5, 3.0)), ("kaiser", (4.0, 6.0, 8.0)))
@@ -312,15 +335,16 @@ HALF_BAND_WINDOWS = [WindowSpec("rectangular"), WindowSpec("hamming")] + [
     m=st.integers(0, 2),
 )
 def test_half_band_mate_always_solves(n, delta, window, m):
-    """Half-band prototypes (centre pi/2), where LU can meet an exact zero pivot:
-    the mate solve never raises and the bank certifies."""
+    """Half-band prototypes (centre pi/2), whose mate system LU can meet at an exact
+    zero pivot: the mate is the pure delay and the bank certifies."""
     bank = design_bank(DesignSpec(n=n, edges=BandEdges.symmetric(delta), window=window, m=m))
     assert bank.max_spurious <= 1e-9
 
 
 class TestSolveMate:
-    """`solve` where LU meets an exact zero pivot, as on the mate systems above:
-    LAPACK's minimum-norm least-squares solution, through the same residual gate."""
+    """`solve` where LU meets an exact zero pivot, as on the mate systems above when
+    solved directly: LAPACK's minimum-norm least-squares solution, through the same
+    residual gate."""
 
     def test_inconsistent_system_names_residual_and_rank(self):
         # [[1, 2], [2, 4]] x = [1, 0] has no solution: least squares leaves a residual
