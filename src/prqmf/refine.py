@@ -54,8 +54,9 @@ def _solve_correction(h0, h1, zero_freqs) -> np.ndarray:
     cos = 2.0 * np.cos(np.multiply.outer(zero_freqs, np.arange(2 * m - 1, 0, -2)))
     mat = a0[:, None] * cos
     rhs = -(cos_k[:, 1:-1] @ h1)
-    # Coincident or unreachable zeros give a consistent singular system that LU
-    # solves to a small residual, so gate on 1/||mat^-1||_1, from the same LU.
+    # `solve` returns any finite LU solution, and coincident or unreachable zeros give a
+    # singular system that LU may still solve, so gate on 1/||mat^-1||_1, from the same
+    # LU; an exact zero pivot counts as an infinite inverse norm.
     both = np.eye(m, m + 1, 1)  # [rhs | I]
     both[:, 0] = rhs
     try:

@@ -113,7 +113,7 @@ class TestDesign:
     def test_large_backward_stable_mate_is_judged_by_its_certificate(self, tmp_path, capsys):
         # LU's mate has taps up to 1.1e8 (cond 5.8e8): its residual, 2.8e-9, is
         # large against the rhs but its normwise backward error is 2.4e-17. The
-        # solve accepts it, and the PR certificate, not SingularSystem, fails it
+        # solve returns it, and the PR certificate, not SingularSystem, fails it
         code, out = design(
             tmp_path, "--wp", "0.010867798567887122", "--ws", "0.59775983610537",
             "--window", "hamming", "--refine", "0", n=11,

@@ -159,7 +159,7 @@ class TestStructure:
 
     def test_identical_cosine_rows_are_singular(self):
         # zeros 0 and 1e-17 give bit-identical rows of C, and LU meets an exact zero
-        # pivot (with OpenBLAS's LAPACK); the least-squares [rhs | I] then fails the gate
+        # pivot (with OpenBLAS's LAPACK); `solve` raises, an infinite inverse norm
         h0 = design_h0(DesignSpec(n=8))
         with pytest.raises(SingularRefinement) as exc:
             refine_h1(h0, basic_mate(h0), (0.0, 1e-17))
