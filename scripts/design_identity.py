@@ -15,6 +15,11 @@ in a partial batch. It prints one count per group and exits 1 on any
 difference. For each group of designs it also counts how many of the moved
 designs have a half-band prototype, by NEW's `qmf_core.is_half_band` on the
 recorded h0: the designs whose mate is the pure delay.
+
+Each interpreter then runs every group a second time, with the library's
+memos warm, and the script prints, per checkout, how many of those outcomes
+match the cold pass (`warm pass: N of N identical`): a memo hit that differs
+from a miss is a difference too.
 """
 
 from __future__ import annotations
@@ -38,35 +43,41 @@ def outcome(design_bank, spec):
     return (bank.h0.tobytes(), bank.h1.tobytes(), bank.delay, bank.scale.hex(), bank.max_spurious.hex(), zeros)
 
 
-def record(lib_root: str, bench_root: str) -> dict[str, list]:
+def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, list]]:
+    """Every group, designed twice in this interpreter: cold, then with the memos warm."""
     sys.path[:0] = [str(Path(lib_root) / "src"), str(Path(bench_root) / "bench")]
     import prqmf.bank
     import prqmf.sweep
     from workloads import DesignLong, Stream
 
     design_bank = prqmf.bank.design_bank
-    sweep_designs = []
-
-    def recorded(spec):  # a raise aborts run_sweep, and with it this check
-        sweep_designs.append(outcome(design_bank, spec))
-        return design_bank(spec)
-
-    prqmf.sweep.design_bank = recorded
-    scores = [(p.lowpass_db.hex(), p.highpass_db.hex()) for points in prqmf.sweep.run_sweep().values() for p in points]
-    groups = {"run_sweep designs": sweep_designs, "run_sweep scores": scores}
-    for seed in SEEDS:
-        specs = DesignLong(prqmf, seed, Path(".")).specs
-        groups[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs]
+    specs = {seed: DesignLong(prqmf, seed, Path(".")).specs for seed in SEEDS}
     stream = Stream(prqmf, 1, Path("."))
-    groups["stream signal path"] = [
-        hashlib.sha256(prqmf.analysis.process_bank(bank, x).y.tobytes()).hexdigest()
-        for bank in stream.banks
-        for x in (stream.x, stream.x[:PREFIX])
-    ]
-    return groups
+
+    def groups() -> dict[str, list]:
+        sweep_designs = []
+
+        def recorded(spec):  # a raise aborts run_sweep, and with it this check
+            sweep_designs.append(outcome(design_bank, spec))
+            return design_bank(spec)
+
+        prqmf.sweep.design_bank = recorded
+        sweep = prqmf.sweep.run_sweep().values()
+        scores = [(p.lowpass_db.hex(), p.highpass_db.hex()) for points in sweep for p in points]
+        out = {"run_sweep designs": sweep_designs, "run_sweep scores": scores}
+        for seed in SEEDS:
+            out[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs[seed]]
+        out["stream signal path"] = [
+            hashlib.sha256(prqmf.analysis.process_bank(bank, x).y.tobytes()).hexdigest()
+            for bank in stream.banks
+            for x in (stream.x, stream.x[:PREFIX])
+        ]
+        return out
+
+    return groups(), groups()
 
 
-def run(lib_root: str, bench_root: str) -> dict[str, list]:
+def run(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, list]]:
     out = subprocess.run(
         [sys.executable, __file__, "--record", lib_root, bench_root], check=True, capture_output=True
     ).stdout
@@ -78,7 +89,7 @@ def main(argv: list[str]) -> int:
         sys.stdout.buffer.write(pickle.dumps(record(*argv[1:])))
         return 0
     old_root, new_root = argv
-    old, new = run(old_root, new_root), run(new_root, new_root)
+    (old, old_warm), (new, new_warm) = run(old_root, new_root), run(new_root, new_root)
     sys.path.insert(0, str(Path(new_root) / "src"))
     import numpy as np
     from prqmf.qmf_core import is_half_band
@@ -97,6 +108,11 @@ def main(argv: list[str]) -> int:
             line += f", {half} of the {len(h0s)} moved half-band"
         print(line)
         same_everywhere &= same == len(want)
+    for name, cold, warm in (("OLD", old, old_warm), ("NEW", new, new_warm)):
+        pairs = [(a, b) for group in cold for a, b in zip(cold[group], warm[group])]
+        same = sum(a == b for a, b in pairs)
+        print(f"{name} warm pass: {same} of {len(pairs)} identical")
+        same_everywhere &= same == len(pairs)
     print("identical" if same_everywhere else "DIFFERENT")
     return 0 if same_everywhere else 1
 

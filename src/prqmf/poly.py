@@ -55,16 +55,3 @@ def _symmetric(p: np.ndarray) -> bool:
     d = p - p[::-1]
     return p.size % 2 == 1 and bool(np.abs(d, out=d).max() <= SYMMETRY_RTOL * np.abs(p).max())
 
-
-def amplitude(p, omegas):
-    """Zero-phase amplitude A(w) about the midpoint of an odd-length p.
-
-    For p symmetric about its midpoint c, the response is e^{-j w c} A(w),
-    so A is real and carries the sign information the magnitude loses.
-    """
-    p = as_poly(p)
-    if p.size % 2 == 0:
-        raise ValueError("amplitude needs an odd-length filter")
-    w = np.asarray(omegas, dtype=float)
-    k = np.arange(p.size) - (p.size - 1) // 2
-    return np.cos(np.multiply.outer(w, k)) @ p

@@ -1,8 +1,8 @@
 """Low-pass prototype design.
 
-The prototype is a symmetric odd-length FIR whose taps come from the
-difference of two squared sinc functions (a trapezoid in frequency),
-shaped by a selectable window and normalized to unit DC gain.
+The prototype is a symmetric odd-length FIR: the difference of two squared
+sincs (a trapezoid in frequency), memoised per (edges, n), times a window,
+memoised per (window, length), normalized to unit DC gain.
 """
 
 from __future__ import annotations
@@ -123,17 +123,22 @@ class DesignSpec:
         object.__setattr__(self, "zero_freqs", zeros)
 
 
+@lru_cache(maxsize=64)
 def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
     """Squared-sinc difference taps for signed indices -n..n, stored causally.
 
     The frequency response of the ideal version is a trapezoid: unit gain
     up to wp, linear fall to zero at ws. n is a `DesignSpec`'s, so it is not checked again.
+    Memoised per (edges, n) and returned read-only: a sweep windows each band several
+    ways. Full, the cache holds 64 x 4,097 x 8 B = 2.1 MB at n = 2048, 132 KB at n <= 128.
     """
     denom = 2.0 * math.pi * (edges.ws - edges.wp)
     # np.sinc is exactly 1 wherever w k / (2 pi) is 0, also where it underflowed for a subnormal wp
     k = np.arange(-n, n + 1)
     sinc = np.sinc(np.array(((edges.ws,), (edges.wp,))) * k / (2 * math.pi)) ** 2
-    return edges.ws**2 / denom * sinc[0] - edges.wp**2 / denom * sinc[1]
+    taps = edges.ws**2 / denom * sinc[0] - edges.wp**2 / denom * sinc[1]
+    taps.flags.writeable = False
+    return taps
 
 
 @lru_cache(maxsize=1024)

@@ -8,12 +8,14 @@ Adding an even-symmetric low-pass correction,
 with E symmetric of order 4m-2 and even powers only, preserves perfect
 reconstruction for ANY such E (the added terms cancel in the transfer
 function) while its m free coefficients buy m transmission zeros in the
-high-pass stop band.
+high-pass stop band. The zero-forcing system's cosine tables depend only
+on the zeros and n, so they are memoised; the system itself is not.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +42,17 @@ def build_e(free) -> np.ndarray:
     return e
 
 
+@lru_cache(maxsize=32)
+def _cosines(zero_freqs: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k w_q), k = -n..n, and C[q, j] = 2 cos((2m-1-2j) w_q), read-only and memoised:
+    a sweep refines each band under several windows. Full, the cache holds 32 x 791 KB
+    = 25 MB at n = 2048, m = 24, and 133 KB at n <= 128, m <= 2."""
+    cos_k = np.cos(np.multiply.outer(zero_freqs, np.arange(-n, n + 1)))
+    cos = 2.0 * np.cos(np.multiply.outer(zero_freqs, np.arange(2 * len(zero_freqs) - 1, 0, -2)))
+    cos_k.flags.writeable = cos.flags.writeable = False
+    return cos_k, cos
+
+
 def _solve_correction(h0, h1, zero_freqs) -> np.ndarray:
     """E's m = len(zero_freqs) free coefficients forcing amplitude zeros there, on checked inputs.
 
@@ -47,13 +60,11 @@ def _solve_correction(h0, h1, zero_freqs) -> np.ndarray:
     is A1(w) + A0(w) sum_j c_j 2 cos((2m-1-2j) w), A0 and A1 taken about the
     centres of h0 and h1: mat = diag(A0(w_q)) C with C[q, j] = 2 cos((2m-1-2j) w_q).
     """
-    n, m = h0.size // 2, len(zero_freqs)
-    # cos(k w) for k = -n..n; h1's taps sit at k = -(n-1)..n-1 about its centre.
-    cos_k = np.cos(np.multiply.outer(zero_freqs, np.arange(-n, n + 1)))
+    m = len(zero_freqs)
+    cos_k, cos = _cosines(tuple(zero_freqs), h0.size // 2)
     a0 = cos_k @ h0
-    cos = 2.0 * np.cos(np.multiply.outer(zero_freqs, np.arange(2 * m - 1, 0, -2)))
     mat = a0[:, None] * cos
-    rhs = -(cos_k[:, 1:-1] @ h1)
+    rhs = -(cos_k[:, 1:-1] @ h1)  # h1's taps sit at k = -(n-1)..n-1 about its centre
     # `solve` returns any finite LU solution, and coincident or unreachable zeros give a
     # singular system that LU may still solve, so gate on 1/||mat^-1||_1, from the same
     # LU; an exact zero pivot counts as an infinite inverse norm.

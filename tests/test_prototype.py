@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import zerophase
 from prqmf import poly
 from prqmf.bank import design_bank
 from prqmf.prototype import (
@@ -92,6 +93,33 @@ class TestTrapezoidTaps:
         assert taps.tobytes() == want.tobytes()
         assert taps[n] == c0 - b0
         assert taps.tobytes() == taps[::-1].tobytes()
+
+
+class TestTrapezoidMemo:
+    def test_cached_taps_are_read_only(self):
+        taps = trapezoid_taps(EDGES, 9)
+        want = trapezoid_taps.__wrapped__(EDGES, 9).copy()
+        with pytest.raises(ValueError):
+            taps[0] = 2.0
+        assert np.array_equal(trapezoid_taps(EDGES, 9), want)
+
+    @pytest.mark.parametrize("n", [1, 10, 128, N_MAX])
+    @pytest.mark.parametrize("edges", [EDGES, BandEdges(0.5125 * math.pi, 0.6625 * math.pi)])
+    def test_cache_matches_uncached(self, edges, n):
+        taps = trapezoid_taps(edges, n)
+        assert taps.tobytes() == trapezoid_taps.__wrapped__(edges, n).tobytes()
+        assert trapezoid_taps(edges, n) is taps
+
+    def test_cache_is_bounded(self):
+        # 64 bands hold a reference sweep (32 keys); at n = 2048 they are 2.1 MB of taps
+        assert trapezoid_taps.cache_info().maxsize == 64
+
+    def test_windows_of_one_band_share_its_taps(self):
+        edges = BandEdges(0.4375 * math.pi, 0.6875 * math.pi)  # in no other test
+        hits, misses = trapezoid_taps.cache_info()[:2]
+        for window in (WindowSpec("hamming"), WindowSpec("kaiser", 4.0)):
+            design_h0(DesignSpec(n=12, edges=edges, window=window))
+        assert trapezoid_taps.cache_info()[:2] == (hits + 1, misses + 1)
 
 
 class TestBandEdges:
@@ -386,7 +414,7 @@ class TestDesignH0:
     def test_unit_dc_gain(self):
         spec = DesignSpec(n=10, edges=EDGES, window=WindowSpec("hamming"))
         h0 = design_h0(spec)
-        assert poly.amplitude(h0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert zerophase.amplitude(h0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_lowpass_sanity(self):
         spec = DesignSpec(n=10, edges=EDGES, window=WindowSpec("hamming"))

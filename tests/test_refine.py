@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zerophase
 from prqmf import poly, refine
 from prqmf.bank import design_bank
 from prqmf.prototype import BandEdges, DesignSpec, WindowSpec, design_h0
@@ -12,6 +13,7 @@ from prqmf.analysis import transfer, verify_pr
 from prqmf.refine import (
     SINGULAR_RTOL,
     SingularRefinement,
+    _cosines,
     _solve_correction,
     build_e,
     refine_h1,
@@ -77,7 +79,7 @@ class TestToyRefinement:
     def test_refined_taps(self, toy_h0, toy_h1):
         h1p = refine_h1(toy_h0, toy_h1, (0.0,))
         assert np.allclose(h1p, TOY_REFINED, atol=1e-12)
-        assert poly.amplitude(h1p, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert zerophase.amplitude(h1p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_refined_transfer_is_shifted_delay(self, toy_h0, toy_h1):
         h1p = refine_h1(toy_h0, toy_h1, (0.0,))
@@ -125,7 +127,7 @@ class TestStructure:
         h1p = refine_h1(h0, h1, zs)
         assert h1p.size == 2 * 8 + 4 * m - 1
         assert poly._symmetric(h1p)
-        amps = poly.amplitude(h1p, np.array(zs))
+        amps = zerophase.amplitude(h1p, np.array(zs))
         assert np.all(np.abs(amps) <= 1e-10 * np.abs(h1p).max())
 
     def test_m1_dc_zero_matches_closed_form(self):
@@ -152,7 +154,7 @@ class TestStructure:
         with pytest.raises(SingularRefinement) as exc:
             refine_h1(h0, h1, (math.pi / 2,))
         msg = str(exc.value)
-        a0 = abs(float(poly.amplitude(h0, math.pi / 2)))
+        a0 = abs(float(zerophase.amplitude(h0, math.pi / 2)))
         assert f"min |A0(w_q)| = {a0:.3e}" in msg
         assert "cond(C) = " in msg
         assert f"min singular value of C = {2 * math.cos(math.pi / 2):.3e}" in msg
@@ -164,8 +166,31 @@ class TestStructure:
         with pytest.raises(SingularRefinement) as exc:
             refine_h1(h0, basic_mate(h0), (0.0, 1e-17))
         msg = str(exc.value)
-        assert f"min |A0(w_q)| = {abs(float(poly.amplitude(h0, 0.0))):.3e}" in msg
+        assert f"min |A0(w_q)| = {abs(float(zerophase.amplitude(h0, 0.0))):.3e}" in msg
         assert "cond(C) = " in msg
+
+
+class TestCosineMemo:
+    ZEROS = (0.0, 0.3, 1.1)
+
+    def test_cached_tables_are_read_only(self):
+        for table in _cosines(self.ZEROS, 7):
+            want = table.copy()
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+            assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("n", [1, 10, 128])
+    @pytest.mark.parametrize("zeros", [(0.0,), ZEROS])
+    def test_cache_matches_uncached(self, zeros, n):
+        tables = _cosines(zeros, n)
+        for got, want in zip(tables, _cosines.__wrapped__(zeros, n)):
+            assert got.tobytes() == want.tobytes()
+        assert _cosines(zeros, n) is tables
+
+    def test_cache_is_bounded(self):
+        # 32 keys hold a reference sweep (17 keys); at n = 2048, m = 24 they are 25 MB
+        assert _cosines.cache_info().maxsize == 32
 
 
 def convolution_system(h0, h1, zs):
@@ -178,8 +203,8 @@ def convolution_system(h0, h1, zs):
     shifted[2 * m : 2 * m + h1.size] = h1
     w = np.array(zs)
     cols = [np.convolve(build_e(unit), h0) for unit in np.eye(m)]
-    mat = np.column_stack([poly.amplitude(g, w) for g in cols])
-    return mat, -poly.amplitude(shifted, w)
+    mat = np.column_stack([zerophase.amplitude(g, w) for g in cols])
+    return mat, -zerophase.amplitude(shifted, w)
 
 
 WINDOWS = [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from prqmf import prototype, refine, sweep
 from prqmf.sweep import CENTERS, DB_TOL, DELTAS, REFERENCES, SweepPoint, best_matches, run_sweep
 
 
@@ -52,3 +53,35 @@ def test_best_match_has_the_smallest_worst_err(results):
     for name, points in results.items():
         assert best[name] in points
         assert best[name].worst_err == min(p.worst_err for p in points)
+
+
+def test_sweep_memo_traffic():
+    # 16 bands at n = 10 and 16 at n = 20, windowed 5 and 3 ways; every m = 1 design
+    # shares the zero (0.0,), and each m = 2 band has its own (0, wp/2)
+    prototype.trapezoid_taps.cache_clear()
+    refine._cosines.cache_clear()
+    run_sweep()
+    assert prototype.trapezoid_taps.cache_info()[:2] == (96, 32)
+    assert refine._cosines.cache_info()[:2] == (111, 17)
+    run_sweep()
+    assert prototype.trapezoid_taps.cache_info()[:2] == (224, 32)
+    assert refine._cosines.cache_info()[:2] == (239, 17)
+
+
+def test_warm_sweep_designs_are_byte_identical(monkeypatch):
+    # every design of a sweep on cold memos, then again on warm ones
+    design_bank, designs = sweep.design_bank, []
+
+    def recorded(spec):
+        bank = design_bank(spec)
+        designs.append((bank.h0.tobytes(), bank.h1.tobytes(), bank.delay, bank.scale.hex()))
+        return bank
+
+    monkeypatch.setattr(sweep, "design_bank", recorded)
+    prototype.trapezoid_taps.cache_clear()
+    refine._cosines.cache_clear()
+    prototype.window_weights.cache_clear()
+    run_sweep()
+    run_sweep()
+    assert len(designs) == 256
+    assert designs[:128] == designs[128:]
