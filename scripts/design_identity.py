@@ -20,6 +20,12 @@ Each interpreter then runs every group a second time, with the library's
 memos warm, and the script prints, per checkout, how many of those outcomes
 match the cold pass (`warm pass: N of N identical`): a memo hit that differs
 from a miss is a difference too.
+
+A change may move designs on purpose, by round-off. So the `run_sweep scores`
+line also gives the largest |delta| in dB among the moved scores, the
+`run_sweep best matches` line whether each reference's best match (criterion 7,
+`sweep.best_matches`) is unchanged, and each design group's line how many
+designs raise in NEW where they did not in OLD.
 """
 
 from __future__ import annotations
@@ -62,9 +68,10 @@ def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, l
             return design_bank(spec)
 
         prqmf.sweep.design_bank = recorded
-        sweep = prqmf.sweep.run_sweep().values()
-        scores = [(p.lowpass_db.hex(), p.highpass_db.hex()) for points in sweep for p in points]
-        out = {"run_sweep designs": sweep_designs, "run_sweep scores": scores}
+        sweep = prqmf.sweep.run_sweep()
+        scores = [(p.lowpass_db.hex(), p.highpass_db.hex()) for points in sweep.values() for p in points]
+        best = [(name, p.center, p.delta, p.param) for name, p in prqmf.sweep.best_matches(sweep).items()]
+        out = {"run_sweep designs": sweep_designs, "run_sweep scores": scores, "run_sweep best matches": best}
         for seed in SEEDS:
             out[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs[seed]]
         out["stream signal path"] = [
@@ -105,7 +112,11 @@ def main(argv: list[str]) -> int:
             moved = [(a, b) for a, b in zip(want, got) if a != b]
             h0s = [next((o[0] for o in pair if o[0] != "raised"), None) for pair in moved]
             half = sum(h0 is not None and is_half_band(np.frombuffer(h0)) for h0 in h0s)
-            line += f", {half} of the {len(h0s)} moved half-band"
+            newly = sum(a[0] != "raised" and b[0] == "raised" for a, b in moved)
+            line += f", {half} of the {len(h0s)} moved half-band, {newly} newly raised"
+        if group == "run_sweep scores" and len(want) == len(got):
+            deltas = [abs(float.fromhex(x) - float.fromhex(y)) for a, b in zip(want, got) for x, y in zip(a, b)]
+            line += f", largest |delta| {max(deltas):.2g} dB"
         print(line)
         same_everywhere &= same == len(want)
     for name, cold, warm in (("OLD", old, old_warm), ("NEW", new, new_warm)):

@@ -51,27 +51,31 @@ def counted_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_every_solve_is_qmf_core_solve(monkeypatch, m):
-    """Off pi/2 the mate and the refinement both solve through qmf_core.solve."""
+    """Off pi/2 the mate and the refinement both solve through qmf_core.solve: the mate
+    on every design, the refinement once per zero set, on a miss of its memo."""
+    refine._zero_forcing.cache_clear()
     calls = counted_solves(monkeypatch)
-    edges = BandEdges(0.45 * math.pi, 0.65 * math.pi)
-    bank = design_bank(DesignSpec(n=10, edges=edges, m=m))
-    assert bank.max_spurious <= 1e-9
+    spec = DesignSpec(n=10, edges=BandEdges(0.45 * math.pi, 0.65 * math.pi), m=m)
+    assert design_bank(spec).max_spurious <= 1e-9
     assert len(calls) == (1 if m == 0 else 2)
+    assert design_bank(spec).max_spurious <= 1e-9
+    assert len(calls) == (2 if m == 0 else 3)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_half_band_design_solves_only_the_refinement(monkeypatch, m):
     """A half-band prototype's mate is the pure delay: neither build_system nor the
-    mate's solve runs, and only the refinement solves."""
+    mate's solve runs, and only the refinement solves, once per zero set."""
+    refine._zero_forcing.cache_clear()
     calls = counted_solves(monkeypatch)
 
     def refused(h0):
         raise AssertionError("build_system called on a half-band prototype")
 
     monkeypatch.setattr(qmf_core, "build_system", refused)
-    bank = design_bank(DesignSpec(n=10, m=m))
-    assert bank.max_spurious <= 1e-9
-    assert len(calls) == (0 if m == 0 else 1)
+    for _ in range(2):
+        assert design_bank(DesignSpec(n=10, m=m)).max_spurious <= 1e-9
+        assert len(calls) == (0 if m == 0 else 1)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zerophase
 from prqmf import poly, refine
@@ -15,6 +15,7 @@ from prqmf.refine import (
     SingularRefinement,
     _cosines,
     _solve_correction,
+    _zero_forcing,
     build_e,
     refine_h1,
 )
@@ -174,23 +175,77 @@ class TestCosineMemo:
     ZEROS = (0.0, 0.3, 1.1)
 
     def test_cached_tables_are_read_only(self):
-        for table in _cosines(self.ZEROS, 7):
-            want = table.copy()
-            with pytest.raises(ValueError):
-                table[0, 0] = 2.0
-            assert np.array_equal(table, want)
+        table = _cosines(self.ZEROS, 7)
+        assert table.shape == (3, 15)
+        want = table.copy()
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+        assert np.array_equal(table, want)
 
     @pytest.mark.parametrize("n", [1, 10, 128])
     @pytest.mark.parametrize("zeros", [(0.0,), ZEROS])
     def test_cache_matches_uncached(self, zeros, n):
-        tables = _cosines(zeros, n)
-        for got, want in zip(tables, _cosines.__wrapped__(zeros, n)):
-            assert got.tobytes() == want.tobytes()
-        assert _cosines(zeros, n) is tables
+        table = _cosines(zeros, n)
+        want = _cosines.__wrapped__(zeros, n)
+        assert table.shape == want.shape == (len(zeros), 2 * n + 1)
+        assert table.tobytes() == want.tobytes()
+        assert _cosines(zeros, n) is table
 
     def test_cache_is_bounded(self):
         # 32 keys hold a reference sweep (17 keys); at n = 2048, m = 24 they are 25 MB
         assert _cosines.cache_info().maxsize == 32
+
+
+class TestZeroForcingMemo:
+    ZERO_SETS = [(0.0,), (0.0, 0.3, 1.1), (0.0, 0.3, 0.32)]
+    # m = 1 at pi/2 (C = 2 cos(pi/2), about 1e-16), (w, pi - w), whose second row of C is
+    # minus its first, and two zeros whose rows of C are bit-identical
+    SINGULAR = [(math.pi / 2,), (0.7, math.pi - 0.7), (0.0, 1e-17)]
+
+    @pytest.mark.parametrize("zeros", ZERO_SETS + SINGULAR)
+    def test_cache_matches_uncached_and_is_read_only(self, zeros):
+        arrays, m = _zero_forcing(zeros), len(zeros)
+        shapes = [(m, m), (m, m), (m,)]
+        for got, want, shape in zip(arrays, _zero_forcing.__wrapped__(zeros), shapes):
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert _zero_forcing(zeros) is arrays
+
+    @pytest.mark.parametrize("zeros", ZERO_SETS)
+    def test_inverse_and_its_column_norms(self, zeros):
+        cos, inv, norms = _zero_forcing(zeros)
+        assert np.allclose(cos @ inv, np.eye(len(zeros)), atol=1e-9)
+        assert np.array_equal(norms, np.abs(inv).sum(axis=0))
+
+    def test_exact_zero_pivot_gives_infinite_norms(self):
+        # bit-identical rows of C: LU meets an exact zero pivot (with OpenBLAS's LAPACK)
+        _, inv, norms = _zero_forcing.__wrapped__((0.0, 1e-17))
+        assert np.isinf(inv).all() and np.isinf(norms).all()
+
+    def test_cache_is_bounded(self):
+        assert _zero_forcing.cache_info().maxsize == 32
+
+    def test_one_entry_for_every_n(self):
+        # the key is the zero set alone, so the default m = 1 designs at n = 10 and 20 share it
+        _zero_forcing.cache_clear()
+        for n in (10, 20):
+            assert design_bank(DesignSpec(n=n, m=1)).zero_freqs == (0.0,)
+        assert _zero_forcing.cache_info()[:4] == (1, 1, 32, 1)
+
+    @pytest.mark.parametrize("zeros", SINGULAR)
+    def test_singular_message_on_miss_and_hit(self, zeros):
+        h0, h1 = certified_pair(10)
+        _zero_forcing.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SingularRefinement) as exc:
+                refine_h1(h0, h1, zeros)
+            messages.append(str(exc.value))
+        assert _zero_forcing.cache_info()[:2] == (1, 1)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("singular zero-forcing system: min |A0(w_q)| = ")
 
 
 def convolution_system(h0, h1, zs):
@@ -208,6 +263,7 @@ def convolution_system(h0, h1, zs):
 
 
 WINDOWS = [WindowSpec(kind) for kind in ("rectangular", "hamming", "gaussian", "kaiser")]
+CLOSE_ZEROS = dict(n=20, m=3, window=WINDOWS[1], center=0.5625 * math.pi, delta=0.1 * math.pi)
 
 
 class TestClosedFormSystem:
@@ -218,15 +274,20 @@ class TestClosedFormSystem:
         window=st.sampled_from(WINDOWS),
         center=st.sampled_from([0.5 * math.pi, 0.5625 * math.pi]),
         delta=st.floats(0.05 * math.pi, 0.15 * math.pi),
+        zeros=st.none(),
     )
-    def test_matches_convolution_system(self, n, m, window, center, delta):
+    # m = 3 with two close zeros: C is ill-conditioned (0.02 apart; the coefficients agree
+    # to 1.5e-13) or singular to the gate (1e-14 apart)
+    @example(**CLOSE_ZEROS, zeros=(0.0, 0.3, 0.32))
+    @example(**CLOSE_ZEROS, zeros=(0.0, 0.3, 0.3 + 1e-14))
+    def test_matches_convolution_system(self, n, m, window, center, delta, zeros):
         edges = BandEdges(center - delta, center + delta)
         h0 = design_h0(DesignSpec(n=n, edges=edges, window=window))
         try:
             h1 = basic_mate(h0)
         except (SingularSystem, DegeneratePassband):
             return  # no mate to refine
-        zs = DesignSpec(n=n, edges=edges, m=m).zero_freqs
+        zs = DesignSpec(n=n, edges=edges, m=m, zero_freqs=zeros).zero_freqs
         mat, rhs = convolution_system(h0, h1, zs)
         inv_norm = np.linalg.cond(mat, 1) / np.linalg.norm(mat, 1)
         singular = 1.0 / inv_norm <= SINGULAR_RTOL * np.abs(h0).sum()

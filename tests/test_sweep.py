@@ -56,16 +56,20 @@ def test_best_match_has_the_smallest_worst_err(results):
 
 
 def test_sweep_memo_traffic():
-    # 16 bands at n = 10 and 16 at n = 20, windowed 5 and 3 ways; every m = 1 design
-    # shares the zero (0.0,), and each m = 2 band has its own (0, wp/2)
+    # 16 bands at n = 10 and 16 at n = 20, windowed 5 and 3 ways; every m = 1 design is
+    # at n = 10 and shares the zero (0.0,), and each m = 2 band has its own (0, wp/2), so
+    # the zero-forcing memo, keyed on the zeros alone, has the cosine memo's 17 keys
     prototype.trapezoid_taps.cache_clear()
     refine._cosines.cache_clear()
+    refine._zero_forcing.cache_clear()
     run_sweep()
     assert prototype.trapezoid_taps.cache_info()[:2] == (96, 32)
     assert refine._cosines.cache_info()[:2] == (111, 17)
+    assert refine._zero_forcing.cache_info()[:2] == (111, 17)
     run_sweep()
     assert prototype.trapezoid_taps.cache_info()[:2] == (224, 32)
     assert refine._cosines.cache_info()[:2] == (239, 17)
+    assert refine._zero_forcing.cache_info()[:2] == (239, 17)
 
 
 def test_warm_sweep_designs_are_byte_identical(monkeypatch):
@@ -80,6 +84,7 @@ def test_warm_sweep_designs_are_byte_identical(monkeypatch):
     monkeypatch.setattr(sweep, "design_bank", recorded)
     prototype.trapezoid_taps.cache_clear()
     refine._cosines.cache_clear()
+    refine._zero_forcing.cache_clear()
     prototype.window_weights.cache_clear()
     run_sweep()
     run_sweep()
