@@ -9,12 +9,15 @@ points of `sweep.run_sweep` (each design it makes, and its scores) and the
 checkout's `bench/workloads.py`. For every design it compares h0, h1,
 delay, scale, max_spurious and zero_freqs bit for bit, or the type and
 message of the exception raised. It also compares the SHA-256 of
-`process_bank(bank, x).y` for the `stream` workload's two banks on its
-seed-1 2^20-sample signal and on a 150,001-sample prefix of it, which ends
-in a partial batch. It prints one count per group and exits 1 on any
-difference. For each group of designs it also counts how many of the moved
-designs have a half-band prototype, by NEW's `qmf_core.is_half_band` on the
-recorded h0: the designs whose mate is the pure delay.
+`process_bank(bank, x).y` on the `stream` workload's seed-1 2^20-sample
+signal and on a 150,001-sample prefix of it, which ends in a partial batch,
+for four banks: the workload's two, which run on 1,024-sample blocks, and
+two on larger blocks (n = 300, kaiser, m = 2: tail 1,206 on 4,096-sample
+blocks; n = 1024, hamming, m = 1: tail 4,098 on 16,384-sample blocks). It
+prints one count per group and exits 1 on any difference. For each group of
+designs it also counts how many of the moved designs have a half-band
+prototype, by NEW's `qmf_core.is_half_band` on the recorded h0: the designs
+whose mate is the pure delay.
 
 Each interpreter then runs every group a second time, with the library's
 memos warm, and the script prints, per checkout, how many of those outcomes
@@ -37,7 +40,8 @@ import sys
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4)
-PREFIX = 150_001  # not a whole number of batches for either stream bank
+PREFIX = 150_001  # not a whole number of batches for any of the four banks
+LARGE_BLOCKS = ((300, "kaiser", 2), (1024, "hamming", 1))  # (n, window, m)
 
 
 def outcome(design_bank, spec):
@@ -59,6 +63,9 @@ def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, l
     design_bank = prqmf.bank.design_bank
     specs = {seed: DesignLong(prqmf, seed, Path(".")).specs for seed in SEEDS}
     stream = Stream(prqmf, 1, Path("."))
+    P = prqmf.prototype
+    large = [design_bank(P.DesignSpec(n=n, window=P.WindowSpec(w), m=m)) for n, w, m in LARGE_BLOCKS]
+    banks = stream.banks + large
 
     def groups() -> dict[str, list]:
         sweep_designs = []
@@ -76,7 +83,7 @@ def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, l
             out[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs[seed]]
         out["stream signal path"] = [
             hashlib.sha256(prqmf.analysis.process_bank(bank, x).y.tobytes()).hexdigest()
-            for bank in stream.banks
+            for bank in banks
             for x in (stream.x, stream.x[:PREFIX])
         ]
         return out

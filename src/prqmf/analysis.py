@@ -171,17 +171,18 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     two, set by the filter lengths alone (`_block_geometry`). Blocks start at
     even samples, so down-sampling by 2 and then up-sampling by 2, which zeroes
     the odd samples, is the spectral fold V = (S + conj(S[::-1])) / 2 on each
-    block. Blocks run in batches through spectral and output buffers allocated
-    once per call. Each batch is copied into the real buffer's rows, zeroed
-    past `hop`, and the forward FFT reads those full-length rows: given rows
-    of `hop` samples and `n=size`, NumPy 2.4 pads each row itself on a slower
-    path, for the same bits (a 2^20-sample call through the n = 10 / n = 40
-    `stream` bank took 21.1 / 24.1 ms against 22.7 / 25.7 ms, 2-vCPU host).
-    Each block's head is written to `y` and its tail carried into the next
-    block. `y` has len(x) + len(h0) + len(h1) - 2 samples and agrees with
-    direct convolution to round-off. A non-finite sample raises
-    ValueError before any output. The report scores the reconstruction only
-    when `max_rel_error` is first read, in one pass after the loop.
+    block. H0, H1 and the `synthesis_filters` pair F0, F1 are evaluated by
+    `poly.grid_response` on the block grid of size // 2 + 1 points. Blocks run
+    in batches through spectral and output buffers allocated once per call.
+    Each batch is copied into the real buffer's rows, zeroed past `hop`, and
+    the forward FFT reads those full-length rows: given rows of `hop` samples
+    and `n=size`, NumPy 2.4 pads each row itself on a slower path, for the same
+    bits (a 2^20-sample call through the n = 10 / n = 40 `stream` bank took
+    21.1 / 24.1 ms against 22.7 / 25.7 ms, 2-vCPU host). Each block's head is
+    written to `y` and its tail carried into the next block. `y` has
+    len(x) + len(h0) + len(h1) - 2 samples and agrees with direct convolution
+    to round-off. A non-finite sample raises ValueError before any output. The
+    report scores the reconstruction only when `max_rel_error` is first read.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:
@@ -194,9 +195,9 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     # every element is written: the blocks' heads, then the last tail
     y = np.empty(blocks * hop + tail)
     ys = y[: blocks * hop].reshape(blocks, hop)
-    H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
-    # spectra of F0 = H1(-z) and F1 = -H0(-z), times the fold's 1/2 (exact)
-    F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
+    # the synthesis pair times the fold's 1/2 (exact), and all four spectra on the block grid
+    f0, f1 = (0.5 * f for f in synthesis_filters(bank.h0, bank.h1))
+    H0, H1, F0, F1 = (poly.grid_response(h, size // 2 + 1) for h in (bank.h0, bank.h1, f0, f1))
     # reused by every batch; the fold reverses into R, as in place forces a copy
     X, S, R = np.empty((3, rows, size // 2 + 1), complex)
     yb = np.empty((rows, size))
@@ -248,7 +249,8 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
 
 @lru_cache(maxsize=8)
 def _brick_wall(grid_size: int, ideal: str) -> np.ndarray:
-    """The read-only `mse` target on the closed grid of `grid_size` points."""
+    """The read-only `mse` target on the closed grid of `grid_size` points, memoised
+    per (grid_size, ideal). Full, the cache holds 8 x 2^20 x 8 B = 67 MB at grid 2^20."""
     twice_k, edge = 2 * np.arange(grid_size), grid_size - 1
     passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
     target = passband + 0.5 * (twice_k == edge)

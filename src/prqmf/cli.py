@@ -158,8 +158,8 @@ def cmd_design(args) -> int:
     )
     bank = design_bank(spec)
     save_bank(bank, args.out)
-    low = analysis.mse(bank.h0, "lowpass", spec.grid_size)
-    high = analysis.mse(bank.h1, "highpass", spec.grid_size)
+    low = analysis.mse(bank.h0, "lowpass")
+    high = analysis.mse(bank.h1, "highpass")
     print(
         f"delay={bank.delay} scale={bank.scale!r} max_spurious={bank.max_spurious:.3e} "
         f"lowpass_db={low.db:.4f} highpass_db={high.db:.4f}"

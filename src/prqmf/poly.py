@@ -19,10 +19,8 @@ SYMMETRY_RTOL = 1e-12
 def as_poly(coeffs) -> np.ndarray:
     """Validate and coerce a coefficient sequence to a 1-D float array."""
     p = np.asarray(coeffs, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
-    elif p.ndim != 1 or p.size < 1:
-        raise ValueError("polynomial needs at least one coefficient")
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("polynomial must be a 1-D sequence of at least one coefficient")
     if not np.isfinite(p).all():
         raise ValueError("polynomial coefficients must be finite")
     return p

@@ -147,9 +147,9 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
 
     Memoised per (spec, length) and returned read-only, as a sweep designs
     many banks on one window. The cache keeps the last 1024 windows, enough
-    for 8 window settings at every n = 32..128 (776 keys, 1.0 MB of
-    weights). Full, at 257 taps (n = 128) each, it holds 2.1 MB of weights,
-    under 2.6 MB with array headers and cache entries.
+    for 8 window settings at every n = 32..128 (776 keys, 1.0 MB of weights).
+    Full, it holds 1024 x 4,097 x 8 B = 33.6 MB of weights at n = 2048, and
+    2.1 MB (under 2.6 MB with array headers and cache entries) at n <= 128.
     """
     if spec.kind == "rectangular":
         w = np.ones(length)

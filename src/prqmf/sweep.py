@@ -77,7 +77,7 @@ def run_sweep(grid_size: int = MSE_GRID_SIZE) -> dict[str, list[SweepPoint]]:
         for center, delta, param in itertools.product(CENTERS, DELTAS, ref.params):
             edges = BandEdges((center - delta) * math.pi, (center + delta) * math.pi)
             window = WindowSpec(ref.window, param)
-            spec = DesignSpec(n=ref.n, edges=edges, window=window, m=ref.m, grid_size=grid_size)
+            spec = DesignSpec(n=ref.n, edges=edges, window=window, m=ref.m)
             bank = design_bank(spec)
             low = analysis.mse(bank.h0, "lowpass", grid_size).db
             high = analysis.mse(bank.h1, "highpass", grid_size).db

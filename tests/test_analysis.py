@@ -172,6 +172,13 @@ class TestProcessBank:
         with pytest.raises(ValueError):
             process_bank(bank10, [])
 
+    def test_block_grid_above_its_cap_rejected(self):
+        # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points
+        h0 = np.zeros(524_288)
+        h0[1] = 1.0
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            process_bank(FilterBank(h0, [1.0]), np.ones(8))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([(1, 12), (200, 400), (500, 700)]),
@@ -514,3 +521,8 @@ class TestValidateCaseA:
         ok, reasons = validate_case_a([0.5, 0.5], [1.0])
         assert not ok
         assert any("even length" in r for r in reasons)
+
+    def test_asymmetric_fails(self):
+        ok, reasons = validate_case_a([1, 2, 3], [1.0])
+        assert not ok
+        assert reasons == ["h0 is not mirror-symmetric"]

@@ -169,6 +169,14 @@ class TestDesign:
         assert "the window leaves only the centre tap" in err
         assert not out.exists()
 
+    def test_vanishing_dc_gain_is_usage_error(self, tmp_path, capsys):
+        code, out = design(tmp_path, "--wp", "1e-11", "--ws", "1e-10", n=1)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "ValueError")
+        assert "DC gain vanishes before normalization" in err
+        assert not out.exists()
+
     def test_bad_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["design", "--n", "not-an-int", "--out", str(tmp_path / "b.json")])

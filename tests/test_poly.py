@@ -112,8 +112,9 @@ class TestAmplitude:
 
 class TestValidation:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            poly.as_poly([])
+        for not_1d in ([], 1.0, [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="polynomial must be a 1-D sequence"):
+                poly.as_poly(not_1d)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

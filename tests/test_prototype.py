@@ -422,6 +422,12 @@ class TestDesignH0:
         dc, nyquist = np.abs(poly.grid_response(h0, 2))  # w = 0, pi
         assert nyquist < dc
 
+    def test_vanishing_dc_gain_rejected(self):
+        # a band edged below 1e-10 rad leaves three taps of 1.75e-11, summing far below 1e-9
+        with pytest.raises(ValueError) as exc:
+            design_bank(DesignSpec(n=1, edges=BandEdges(1e-11, 1e-10)))
+        assert str(exc.value) == "degenerate prototype: DC gain vanishes before normalization"
+
     @settings(max_examples=100, deadline=None)
     @given(any_spec())
     def test_symmetric_odd_for_every_spec(self, spec):
