@@ -28,7 +28,9 @@ A change may move designs on purpose, by round-off. So the `run_sweep scores`
 line also gives the largest |delta| in dB among the moved scores, the
 `run_sweep best matches` line whether each reference's best match (criterion 7,
 `sweep.best_matches`) is unchanged, and each design group's line how many
-designs raise in NEW where they did not in OLD.
+designs raise in NEW where they did not in OLD, and how far the moved designs
+moved: the largest max|NEW - OLD| / max|OLD| of h0 and of h1 over the moved
+designs that raise in neither checkout (0 when none moved).
 """
 
 from __future__ import annotations
@@ -91,6 +93,19 @@ def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, l
     return groups(), groups()
 
 
+def largest_move(moved, i: int) -> float:
+    """The largest max|NEW - OLD| / max|OLD| of tap array i (0: h0, 1: h1) over the moved
+    designs that raise on neither side and keep their length."""
+    import numpy as np
+
+    moves = [0.0]
+    for a, b in moved:
+        if a[0] != "raised" and b[0] != "raised" and len(a[i]) == len(b[i]):
+            old, new = np.frombuffer(a[i]), np.frombuffer(b[i])
+            moves.append(float(np.abs(new - old).max() / np.abs(old).max()))
+    return max(moves)
+
+
 def run(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, list]]:
     out = subprocess.run(
         [sys.executable, __file__, "--record", lib_root, bench_root], check=True, capture_output=True
@@ -121,6 +136,8 @@ def main(argv: list[str]) -> int:
             half = sum(h0 is not None and is_half_band(np.frombuffer(h0)) for h0 in h0s)
             newly = sum(a[0] != "raised" and b[0] == "raised" for a, b in moved)
             line += f", {half} of the {len(h0s)} moved half-band, {newly} newly raised"
+            for i, name in enumerate(("h0", "h1")):
+                line += f", largest max|d{name}|/max|{name}| {largest_move(moved, i):.2g}"
         if group == "run_sweep scores" and len(want) == len(got):
             deltas = [abs(float.fromhex(x) - float.fromhex(y)) for a, b in zip(want, got) for x, y in zip(a, b)]
             line += f", largest |delta| {max(deltas):.2g} dB"

@@ -161,6 +161,8 @@ def _block_geometry(tail: int) -> tuple[int, int, int]:
     input and then its inverse FFT, so that a batch stays in a 2 MB L2 cache."""
     # hop > tail, so a block's tail spills into the next block only
     size = max(1024, 1 << (2 * tail + 2).bit_length())
+    if size // 2 + 1 > GRID_SIZE_MAX:  # the block grid's cap: blocks of 2^20 samples at most
+        raise ValueError(f"filters too long: a tail of {tail} taps passes {GRID_SIZE_MAX // 2 - 2}")
     return size, (size - tail) & ~1, max(1, 2**16 // size)
 
 
@@ -179,10 +181,10 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     and `n=size`, NumPy 2.4 pads each row itself on a slower path, for the same
     bits (a 2^20-sample call through the n = 10 / n = 40 `stream` bank took
     21.1 / 24.1 ms against 22.7 / 25.7 ms, 2-vCPU host). Each block's head is
-    written to `y` and its tail carried into the next block. `y` has
-    len(x) + len(h0) + len(h1) - 2 samples and agrees with direct convolution
-    to round-off. A non-finite sample raises ValueError before any output. The
-    report scores the reconstruction only when `max_rel_error` is first read.
+    written to `y` and its tail carried into the next block. `y` has len(x) + len(h0) +
+    len(h1) - 2 samples and agrees with direct convolution to round-off. A non-finite
+    sample, or a tail past `_block_geometry`'s cap, raises ValueError before any output.
+    The report scores the reconstruction only when `max_rel_error` is first read.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size < 1:

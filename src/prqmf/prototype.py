@@ -1,7 +1,7 @@
 """Low-pass prototype design.
 
-The prototype is a symmetric odd-length FIR: the difference of two squared
-sincs (a trapezoid in frequency), memoised per (edges, n), times a window,
+The prototype is a symmetric odd-length FIR: the taps of a trapezoid in
+frequency, products of sines memoised per (edges, n), times a window,
 memoised per (window, length), normalized to unit DC gain.
 """
 
@@ -25,9 +25,9 @@ KAISER_BETA_MAX = float(np.log(np.finfo(float).max))
 MSE_GRID_MIN = 64
 MSE_GRID_SIZE = 1024
 # Largest sizes a caller can ask for. design_bank at n = 2048 takes about 0.25 s and
-# 100 MB (its n x n mate system is 32 MB). m = 19 is the largest order whose default
-# zeros certify; m = 20 is singular at every n tried. A grid of 2^20 points is a
-# 2^21-point FFT of about 16 MB per response.
+# 100 MB (its n x n mate system is 32 MB). The highest m that certifies depends on the
+# edges: m = 24 on the default edges at n = 10, 64, 512, but m = 19 raises SingularRefinement
+# at wp = 0.3 pi, ws = 0.7 pi. A 2^20-point grid is a 2^21-point FFT of 16 MB per response.
 N_MAX = 2048
 M_MAX = 24
 GRID_SIZE_MAX = 2**20
@@ -125,18 +125,18 @@ class DesignSpec:
 
 @lru_cache(maxsize=64)
 def trapezoid_taps(edges: BandEdges, n: int) -> np.ndarray:
-    """Squared-sinc difference taps for signed indices -n..n, stored causally.
-
-    The frequency response of the ideal version is a trapezoid: unit gain
-    up to wp, linear fall to zero at ws. n is a `DesignSpec`'s, so it is not checked again.
-    Memoised per (edges, n) and returned read-only: a sweep windows each band several
-    ways. Full, the cache holds 64 x 4,097 x 8 B = 2.1 MB at n = 2048, 132 KB at n <= 128.
-    """
-    denom = 2.0 * math.pi * (edges.ws - edges.wp)
-    # np.sinc is exactly 1 wherever w k / (2 pi) is 0, also where it underflowed for a subnormal wp
-    k = np.arange(-n, n + 1)
-    sinc = np.sinc(np.array(((edges.ws,), (edges.wp,))) * k / (2 * math.pi)) ** 2
-    taps = edges.ws**2 / denom * sinc[0] - edges.wp**2 / denom * sinc[1]
+    """Ideal trapezoid taps for signed indices -n..n, stored causally: unit gain up to wp,
+    a linear fall to zero at ws. As sin^2 a - sin^2 b = sin(a - b) sin(a + b), the squared
+    sincs' difference is 2 sin((ws-wp)k/2) sin((ws+wp)k/2) / (pi (ws-wp) k^2) at k != 0,
+    with no terms to cancel, and (ws+wp)/(2 pi) at k = 0. n is a `DesignSpec`'s, unchecked.
+    Memoised per (edges, n) and read-only: a sweep windows each band several ways. Full,
+    the cache holds 64 x 4,097 x 8 B = 2.1 MB at n = 2048, 132 KB at n <= 128."""
+    d, s = edges.ws - edges.wp, edges.ws + edges.wp
+    k = np.arange(1.0, n + 1)
+    # sin(dk/2) divided by pi d / 2 first: 2 / (pi d) overflows for a subnormal d
+    half = np.sin(0.5 * d * k) / (0.5 * math.pi * d) * np.sin(0.5 * s * k) / (k * k)
+    taps = np.empty(2 * n + 1)
+    taps[n], taps[n + 1 :], taps[:n] = s / (2 * math.pi), half, half[::-1]
     taps.flags.writeable = False
     return taps
 

@@ -92,16 +92,16 @@ def is_half_band(h0) -> bool:
 
 
 def basic_mate(h0) -> np.ndarray:
-    """A passband-normalized 2n-1 tap high-pass mate of a `design_h0` prototype, unchecked.
+    """An unnormalized 2n-1 tap high-pass mate of a `design_h0` prototype, unchecked.
 
     A half-band h0 has H0(z) + (-1)^n H0(-z) = 2 h_c z^-n, so H0(z) and H0(-z)
     share no zero and its mate is unique (the Bezout condition for two-channel PR):
-    the pure delay z^-(n-1), returned without building or solving the system.
-    Elsewhere, where the mate system is rank-deficient the mate is not unique; the
-    caller certifies the pair with analysis.verify_pr.
+    the pure delay z^-(n-1), of gain 1 at w = pi, returned without building or solving
+    the system. Elsewhere, where the mate system is rank-deficient the mate is not unique;
+    the caller certifies the pair with analysis.verify_pr.
     """
     if is_half_band(h0):
         h1 = np.zeros(len(h0) - 2)
         h1[len(h1) // 2] = 1.0
         return h1
-    return normalize_passband(unfold(solve(build_system(h0))))
+    return unfold(solve(build_system(h0)))

@@ -173,11 +173,12 @@ class TestProcessBank:
             process_bank(bank10, [])
 
     def test_block_grid_above_its_cap_rejected(self):
-        # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points
+        # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points; 524,286 is the most
         h0 = np.zeros(524_288)
         h0[1] = 1.0
-        with pytest.raises(ValueError, match="grid_size must be an integer"):
+        with pytest.raises(ValueError, match="a tail of 524287 taps passes 524286"):
             process_bank(FilterBank(h0, [1.0]), np.ones(8))
+        assert _block_geometry(524_286)[0] == 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -111,11 +111,13 @@ specs = st.builds(
 
 
 def staged_design(spec):
-    """The design through the stages, one call each: prototype, mate, refinement."""
+    """The design through the stages, one call each: prototype, mate, refinement, and one
+    normalization of the final high-pass."""
     h0 = design_h0(spec)
     h1 = basic_mate(h0)
     if spec.m >= 1:
-        h1 = normalize_passband(refine_h1(h0, h1, spec.zero_freqs))
+        h1 = refine_h1(h0, h1, spec.zero_freqs)
+    h1 = normalize_passband(h1)
     return h0, h1, verify_pr(h0, h1)
 
 

@@ -119,7 +119,7 @@ class TestDesign:
             "--window", "hamming", "--refine", "0", n=11,
         )
         assert code == 1
-        assert "max_spurious=1.191e-08" in capsys.readouterr().out
+        assert "max_spurious=6.704e-09" in capsys.readouterr().out
         assert out.exists()
 
     def test_wp_without_ws(self, tmp_path):

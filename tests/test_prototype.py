@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -64,6 +65,55 @@ class TestTrapezoidTaps:
         expected = [scalar_tap(EDGES, k) for k in range(-6, 7)]
         assert np.allclose(taps, expected, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "wp,ws,reference",
+        [
+            (1.0, 1.000002, (
+                "0.3183102044936768644816513638070279399267",
+                "0.2678487053845507112361837510857078802771",
+                "0.1447190477560101350069874052570713445819",
+                "0.01497298277677522229870326462205967240666",
+                "-0.06022463709685302667683058250821999046421",
+                "-0.06104692505188410462129424358537135985296",
+                "-0.0148231469395641149397191076400532995305",
+                "0.0298752870396296455819375887959903114836",
+                "0.03936526754393163096988427197376693368349",
+            )),
+            (5e-324, 1.0, (
+                "0.1591549430918953357688837633725143620345",
+                "0.1463263206980634634308935080324140591223",
+                "0.1126933845902140262290120574115468510895",
+                "0.07038158723327613759540518221782665707489",
+                "0.03289819454660298760373150180508237835608",
+                "0.009120696328573831941881145935144718041138",
+                "0.0003521719867515277751534936772174108999899",
+                "0.001598680518572860524656712595429182937603",
+            )),
+            (1.413716694115407, 2.0420352248333655, (  # 0.45 pi, 0.65 pi
+                "0.549999999999999978560054921143435043896",
+                "0.3092448997815970964799116918153786544908",
+                "-0.04600884306499967091667229599071826391599",
+                "-0.08115144807490174530171354635809226647405",
+                "0.03540016471640733077595853105920096688907",
+                "0.02865795841253782391179735559271058946308",
+                "-0.02165517630993982399942864006392027874765",
+                "-0.007594664337089660026422064689986752337954",
+                "0.008850041179101835760615345022704070978992",
+                "0.0006046861774706886110846589836141312276029",
+                "-1.240826632334101158425001901349383886215e-18",
+            )),
+        ],
+    )
+    def test_within_two_ulps_of_a_40_digit_reference(self, wp, ws, reference):
+        # Taps k = 0..n of the exact float edges, computed with mpmath at 60 digits and
+        # kept to 40. The narrow band cancels 5 digits in a difference of squared sincs.
+        n = len(reference) - 1
+        taps = trapezoid_taps(BandEdges(wp, ws), n)
+        ulp = decimal.Decimal(np.spacing(np.abs(taps).max()))
+        for k in range(-n, n + 1):
+            err = abs(decimal.Decimal(taps[n + k]) - decimal.Decimal(reference[abs(k)]))
+            assert err <= 2 * ulp, k
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(1, N_MAX),
@@ -72,27 +122,24 @@ class TestTrapezoidTaps:
     )
     @example(N_MAX, [5e-324, 1.0])
     @example(7, [2.2e-308, 3.0])
-    def test_bytes_match_np_sinc(self, n, band):
-        # trapezoid_taps runs on np.sinc; the reference is sin(pi x) / (pi x) written
-        # out, with a tiny stand-in for pi x where x = w k / (2 pi) is 0, so a NumPy
-        # release that rounds np.sinc differently fails here instead of moving designs.
-        # A subnormal wp makes x underflow to 0 at k != 0 too.
+    @example(8, [1.0, 1.000002])
+    @example(3, [5e-324, 1e-323])
+    def test_symmetric_with_exact_centre_near_the_squared_sincs(self, n, band):
         edges = BandEdges(*sorted(band))
-        denom = 2.0 * math.pi * (edges.ws - edges.wp)
-        c0 = edges.ws**2 / denom
-        b0 = edges.wp**2 / denom
-        y = np.array(((edges.ws,), (edges.wp,))) * np.arange(-n, n + 1)
-        y /= 2 * math.pi
-        y *= math.pi
-        y[y == 0.0] = 1e-20
-        sinc = np.sin(y)
-        sinc /= y
-        sinc *= sinc
-        want = c0 * sinc[0] - b0 * sinc[1]
+        wp, ws = edges.wp, edges.ws
         taps = trapezoid_taps(edges, n)
-        assert taps.tobytes() == want.tobytes()
-        assert taps[n] == c0 - b0
         assert taps.tobytes() == taps[::-1].tobytes()
+        assert taps[n] == (ws + wp) / (2 * math.pi)
+        # The squared-sinc difference rounds each term to a few eps of its own size, so
+        # it is only as good as 16 eps (ws^2 + wp^2) / (ws^2 - wp^2) max|tap|. The largest
+        # tap is the centre, (ws + wp) / (2 pi), which turns that into the form below;
+        # squares under the normal range count at `tiny`, where they lose precision.
+        k = np.arange(-n, n + 1) / (2 * math.pi)
+        denom = 2 * math.pi * (ws - wp)
+        sincs = ws**2 / denom * np.sinc(ws * k) ** 2 - wp**2 / denom * np.sinc(wp * k) ** 2
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        tol = 16 * eps * (ws**2 + wp**2 + 2 * tiny) / denom
+        assert np.abs(taps - sincs).max() <= tol
 
 
 class TestTrapezoidMemo:

@@ -157,8 +157,8 @@ class TestSystemProperties:
     @pytest.mark.parametrize("gamma", [0.25, 3.0, 17.5])
     def test_scale_invariance_after_normalization(self, gamma):
         h0 = design_h0(DesignSpec(n=8, window=WindowSpec("hamming")))
-        ref = basic_mate(h0)
-        scaled = basic_mate(gamma * h0)
+        ref = normalize_passband(basic_mate(h0))
+        scaled = normalize_passband(basic_mate(gamma * h0))
         assert np.allclose(scaled, ref, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -312,7 +312,7 @@ OFF_HALF_BAND = [(0.55, 0.1), (0.5625, 0.05), (0.6, 0.15), (0.45, 0.2)]
 @pytest.mark.parametrize("n", [10, 64])
 @pytest.mark.parametrize("centre,delta", OFF_HALF_BAND)
 def test_mate_off_half_band_is_the_solved_mate(centre, delta, n, window):
-    """Off the half-band path basic_mate is the normalized, unfolded solve, and the solve
+    """Off the half-band path basic_mate is the unfolded solve, unnormalized, and the solve
     is `np.linalg.solve`, bit for bit."""
     edges = BandEdges((centre - delta) * math.pi, (centre + delta) * math.pi)
     h0 = design_h0(DesignSpec(n=n, edges=edges, window=window))
@@ -320,7 +320,7 @@ def test_mate_off_half_band_is_the_solved_mate(centre, delta, n, window):
     system = build_system(h0)
     x = solve(system)
     assert x.tobytes() == np.linalg.solve(*system).tobytes()
-    assert basic_mate(h0).tobytes() == normalize_passband(unfold(x)).tobytes()
+    assert basic_mate(h0).tobytes() == unfold(x).tobytes()
 
 
 HALF_BAND_WINDOWS = [WindowSpec("rectangular"), WindowSpec("hamming")] + [
