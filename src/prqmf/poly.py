@@ -18,7 +18,10 @@ SYMMETRY_RTOL = 1e-12
 
 def as_poly(coeffs) -> np.ndarray:
     """Validate and coerce a coefficient sequence to a 1-D float array."""
-    p = np.asarray(coeffs, dtype=float)
+    p = np.asarray(coeffs)
+    if p.dtype.kind == "c":  # a cast to float would drop the imaginary part with a warning
+        raise ValueError("polynomial coefficients must be real")
+    p = p.astype(float, copy=False)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("polynomial must be a 1-D sequence of at least one coefficient")
     if not np.isfinite(p).all():

