@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -250,21 +250,15 @@ def mse(filt, ideal: str, grid_size: int = MSE_GRID_SIZE) -> ResponseMetrics:
     _check_integer(grid_size, MSE_GRID_MIN, GRID_SIZE_MAX, "grid_size")
     if ideal not in ("lowpass", "highpass"):
         raise ValueError("ideal must be 'lowpass' or 'highpass'")
-    err = np.abs(poly.grid_response(filt, grid_size)) - _brick_wall(grid_size, ideal)
+    err = np.abs(poly.grid_response(filt, grid_size))
+    half, odd = divmod(grid_size, 2)
+    passband = err[:half] if ideal == "lowpass" else err[half + odd :]  # a view
+    passband -= 1.0
+    if odd:
+        err[half] -= 0.5
     value = float(err @ err) / grid_size
     db = -10.0 * math.log10(value) if value > 0.0 else math.inf
     return ResponseMetrics(mse=value, db=db, grid_size=grid_size)
-
-
-@lru_cache(maxsize=8)
-def _brick_wall(grid_size: int, ideal: str) -> np.ndarray:
-    """The read-only `mse` target on the closed grid of `grid_size` points, memoised
-    per (grid_size, ideal). Full, the cache holds 8 x 2^20 x 8 B = 67 MB at grid 2^20."""
-    twice_k, edge = 2 * np.arange(grid_size), grid_size - 1
-    passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
-    target = passband + 0.5 * (twice_k == edge)
-    target.flags.writeable = False
-    return target
 
 
 def validate_case_a(h0, h1) -> tuple[bool, list[str]]:

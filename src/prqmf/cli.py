@@ -141,6 +141,13 @@ def _write_rows(path: str, header: str, cols) -> None:
             fh.write("\n".join(rows) + "\n")
 
 
+def _certificate_line(report: analysis.PrReport) -> str:
+    return (
+        f"delay={report.delay} scale={report.scale!r} max_spurious={report.max_spurious:.3e} "
+        f"sum_spurious={report.sum_spurious:.3e}"
+    )
+
+
 def cmd_design(args) -> int:
     if (args.wp is None) != (args.ws is None):
         raise ValueError("--wp and --ws must be given together")
@@ -161,19 +168,13 @@ def cmd_design(args) -> int:
     low = analysis.mse(bank.h0, "lowpass")
     high = analysis.mse(bank.h1, "highpass")
     report = bank.certificate
-    print(
-        f"delay={report.delay} scale={report.scale!r} max_spurious={report.max_spurious:.3e} "
-        f"sum_spurious={report.sum_spurious:.3e} lowpass_db={low.db:.4f} highpass_db={high.db:.4f}"
-    )
+    print(f"{_certificate_line(report)} lowpass_db={low.db:.4f} highpass_db={high.db:.4f}")
     return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:
     report = load_bank(args.path).certificate
-    print(
-        f"delay={report.delay} scale={report.scale!r} max_spurious={report.max_spurious:.3e} "
-        f"sum_spurious={report.sum_spurious:.3e}"
-    )
+    print(_certificate_line(report))
     return 0 if report.passed else 1
 
 

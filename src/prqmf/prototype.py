@@ -40,9 +40,16 @@ def _check_integer(value, low: int, high: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {low} and <= {high}, got {value!r}")
 
 
+def _check_real(value, name: str) -> float:
+    """Return value if it is an int or float, NumPy scalars included ("0.5" and True are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_zero_freqs(freqs, m: int) -> tuple[float, ...]:
     """The zeros of an order-m refinement as floats: m of them, strictly increasing in [0, pi)."""
-    freqs = tuple(float(w) for w in freqs)
+    freqs = tuple(float(_check_real(w, "a zero frequency")) for w in freqs)
     if len(freqs) != m:
         raise ValueError(f"need exactly m={m} zero frequencies, got {len(freqs)}")
     if any(not (0.0 <= w < math.pi) for w in freqs):
@@ -60,7 +67,7 @@ class BandEdges:
     ws: float
 
     def __post_init__(self):
-        if not (0.0 < self.wp < self.ws < math.pi):
+        if not (0.0 < _check_real(self.wp, "wp") < _check_real(self.ws, "ws") < math.pi):
             raise ValueError(
                 f"band edges must satisfy 0 < wp < ws < pi, got wp={self.wp}, ws={self.ws}"
             )
@@ -84,12 +91,13 @@ class WindowSpec:
         if self.param is not None:
             if self.kind in ("rectangular", "hamming"):
                 raise ValueError(f"the {self.kind} window takes no parameter, got {self.param}")
-            if self.kind == "gaussian" and not 0 < self.param <= GAUSSIAN_ALPHA_MAX:
+            param = _check_real(self.param, f"the {self.kind} window parameter")
+            if self.kind == "gaussian" and not 0 < param <= GAUSSIAN_ALPHA_MAX:
                 raise ValueError(
                     f"gaussian width alpha must be finite in (0, {GAUSSIAN_ALPHA_MAX:.4g}], "
                     f"got {self.param}"
                 )
-            if self.kind == "kaiser" and not 0 <= self.param <= KAISER_BETA_MAX:
+            if self.kind == "kaiser" and not 0 <= param <= KAISER_BETA_MAX:
                 raise ValueError(
                     f"kaiser beta must be finite in [0, {KAISER_BETA_MAX:.2f}], got {self.param}"
                 )

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmf_core import SingularSystem, solve
+from .qmf_core import SingularSystem, solve, unfold
 
 # Smallest admissible 1/||mat^-1||_1, relative to ||h0||_1.
 SINGULAR_RTOL = 1e-12
@@ -36,11 +36,9 @@ def build_e(free) -> np.ndarray:
     free[j] lands at degrees 2j and 4m-2-2j; everything else is zero.
     """
     free = np.atleast_1d(np.asarray(free, dtype=float))
-    m = free.size
-    e = np.zeros(4 * m - 1)
-    e[: 2 * m : 2] = free
-    e[2 * m :: 2] = free[::-1]
-    return e
+    half = np.zeros(2 * free.size)  # free at the even degrees up to the centre 2m-1
+    half[::2] = free
+    return unfold(half)
 
 
 @lru_cache(maxsize=32)

@@ -502,6 +502,19 @@ class TestMse:
         expected = (32 * 1.0 + 0.25 + 32 * 0.0) / 65  # |H|=0 everywhere
         assert metrics.mse == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", [64, 65, 1024, 1025])
+    @pytest.mark.parametrize("ideal", ["lowpass", "highpass"])
+    @pytest.mark.parametrize("designed", [True, False], ids=["designed", "all_zero"])
+    def test_brick_wall_bit_for_bit(self, bank10, grid, ideal, designed):
+        # README's target: 1 where 2k < G - 1 (low-pass) or 2k > G - 1 (high-pass),
+        # 0.5 where 2k = G - 1, 0 elsewhere, subtracted as an array
+        h = (bank10.h0 if ideal == "lowpass" else bank10.h1) if designed else np.zeros(3)
+        twice_k, edge = 2 * np.arange(grid), grid - 1
+        passband = twice_k < edge if ideal == "lowpass" else twice_k > edge
+        target = np.where(twice_k == edge, 0.5, np.where(passband, 1.0, 0.0))
+        err = np.abs(poly.grid_response(h, grid)) - target
+        assert mse(h, ideal, grid).mse == float(err @ err) / grid
+
     def test_reversal_invariance(self, bank10):
         m1 = mse(bank10.h0, "lowpass")
         m2 = mse(bank10.h0[::-1], "lowpass")

@@ -471,6 +471,15 @@ class TestBankFile:
         assert_one_error_line(err, "BankFileError")
         assert f"{key} must be an integer" in err
 
+    def test_boolean_band_edge_rejected(self, tmp_path):
+        # JSON true used to load as wp = True and be written back as true
+        doc = json.loads(pristine_json(1))
+        doc["edges"]["wp"] = True
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert "wp must be a real number, got True" in err
+
 
 # Per command, the arguments after the bank file; `process` reads x.csv.
 COMMAND_ARGS = {

@@ -336,6 +336,33 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BandEdges("0.1", "0.2"),
+            lambda: BandEdges(True, 2),
+            lambda: BandEdges(0.1, np.bool_(True)),
+            lambda: WindowSpec("kaiser", "6"),
+            lambda: WindowSpec("gaussian", True),
+            lambda: DesignSpec(n=4, zero_freqs=[True]),
+            lambda: DesignSpec(n=4, zero_freqs=["0.5"]),
+        ],
+    )
+    def test_non_real_fields_rejected(self, make):
+        # "0.1" and "6" used to raise TypeError in a comparison, True to be accepted
+        # as 1, and "0.5" to pass through float()
+        with pytest.raises(ValueError, match="must be a real number"):
+            make()
+
+    def test_numpy_real_fields_accepted(self):
+        spec = DesignSpec(
+            n=4,
+            edges=BandEdges(np.float64(1.2), np.int64(2)),
+            window=WindowSpec("kaiser", np.float32(4.0)),
+            zero_freqs=[np.float64(0.5)],
+        )
+        assert spec.zero_freqs == (0.5,)
+
     def test_numpy_integer_fields_accepted(self):
         spec = DesignSpec(n=np.int64(10), m=np.int32(2), grid_size=np.int64(512))
         assert spec == DesignSpec(n=10, m=2, grid_size=512)
