@@ -13,8 +13,11 @@ message of the exception raised. It also compares the SHA-256 of
 signal and on a 150,001-sample prefix of it, which ends in a partial batch,
 for four banks: the workload's two, which run on 1,024-sample blocks, and
 two on larger blocks (n = 300, kaiser, m = 2: tail 1,206 on 4,096-sample
-blocks; n = 1024, hamming, m = 1: tail 4,098 on 16,384-sample blocks). It
-prints one count per group and exits 1 on any difference. For each group of
+blocks; n = 1024, hamming, m = 1: tail 4,098 on 16,384-sample blocks). The
+prefix outputs are kept beside their hashes, and the `stream signal path`
+line gives the largest max|NEW - OLD| / max|OLD| of y over them, so that a
+move by round-off is measured as well as flagged. It prints one count per
+group and exits 1 on any difference. For each group of
 designs it also counts how many of the moved designs have a half-band
 prototype, by NEW's `qmf_core.is_half_band` on the recorded h0: the designs
 whose mate is the pure delay.
@@ -83,24 +86,26 @@ def record(lib_root: str, bench_root: str) -> tuple[dict[str, list], dict[str, l
         out = {"run_sweep designs": sweep_designs, "run_sweep scores": scores, "run_sweep best matches": best}
         for seed in SEEDS:
             out[f"design_long seed {seed}"] = [outcome(design_bank, s) for s in specs[seed]]
-        out["stream signal path"] = [
-            hashlib.sha256(prqmf.analysis.process_bank(bank, x).y.tobytes()).hexdigest()
-            for bank in banks
-            for x in (stream.x, stream.x[:PREFIX])
-        ]
+        out["stream signal path"] = []
+        for bank in banks:
+            for x in (stream.x, stream.x[:PREFIX]):
+                y = prqmf.analysis.process_bank(bank, x).y.tobytes()
+                kept = y if x.size == PREFIX else b""  # beside its hash, so that a move is measured
+                out["stream signal path"].append((hashlib.sha256(y).hexdigest(), kept))
         return out
 
     return groups(), groups()
 
 
 def largest_move(moved, i: int) -> float:
-    """The largest max|NEW - OLD| / max|OLD| of tap array i (0: h0, 1: h1) over the moved
-    designs that raise on neither side and keep their length."""
+    """The largest max|NEW - OLD| / max|OLD| of array i of an outcome (a design's 0: h0,
+    1: h1; a stream output's 1: the prefix's y) over the moved outcomes that raise on
+    neither side and keep a nonzero length."""
     import numpy as np
 
     moves = [0.0]
     for a, b in moved:
-        if a[0] != "raised" and b[0] != "raised" and len(a[i]) == len(b[i]):
+        if a[0] != "raised" and b[0] != "raised" and len(a[i]) == len(b[i]) > 0:
             old, new = np.frombuffer(a[i]), np.frombuffer(b[i])
             moves.append(float(np.abs(new - old).max() / np.abs(old).max()))
     return max(moves)
@@ -138,6 +143,9 @@ def main(argv: list[str]) -> int:
             line += f", {half} of the {len(h0s)} moved half-band, {newly} newly raised"
             for i, name in enumerate(("h0", "h1")):
                 line += f", largest max|d{name}|/max|{name}| {largest_move(moved, i):.2g}"
+        if group == "stream signal path" and len(want) == len(got):
+            moved = [(a, b) for a, b in zip(want, got) if a != b]
+            line += f", largest max|dy|/max|y| {largest_move(moved, 1):.2g} on the {PREFIX:,}-sample prefixes"
         if group == "run_sweep scores" and len(want) == len(got):
             deltas = [abs(float.fromhex(x) - float.fromhex(y)) for a, b in zip(want, got) for x, y in zip(a, b)]
             line += f", largest |delta| {max(deltas):.2g} dB"

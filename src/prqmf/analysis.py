@@ -69,7 +69,7 @@ class FilterBank:
 
     @cached_property
     def certificate(self) -> PrReport:
-        return verify_pr(self.h0, self.h1)
+        return _certify(self.h0, self.h1)  # taps `__post_init__` has validated
 
     @property
     def delay(self) -> int:
@@ -134,18 +134,29 @@ def transfer(h0, h1) -> np.ndarray:
     The second product is P(-z), so even-power coefficients are exactly zero; a
     perfect-reconstruction pair leaves a single nonzero odd-power coefficient.
     """
-    t = np.convolve(poly.as_poly(h0), poly.alternate(h1))
+    return _transfer(poly.as_poly(h0), poly.as_poly(h1))
+
+
+def _transfer(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """`transfer` of filters that `poly.as_poly` has validated."""
+    h1 = h1.copy()
+    h1[1::2] *= -1.0  # H1(-z), as `poly.alternate` forms it
+    t = np.convolve(h0, h1)
     t[::2] = 0.0
     return t
 
 
 def verify_pr(h0, h1) -> PrReport:
     """Locate the delay term of T(z) and measure everything else against it."""
-    t = transfer(h0, h1)
+    return _certify(poly.as_poly(h0), poly.as_poly(h1))
+
+
+def _certify(h0: np.ndarray, h1: np.ndarray) -> PrReport:
+    """`verify_pr` of filters that `poly.as_poly` has validated."""
+    t = _transfer(h0, h1)
     mags = np.abs(t)
     idx = int(mags.argmax())
     c = float(t[idx])
-    # transfer has validated both filters
     floor = 1e-12 * float(np.abs(h0).max() * np.abs(h1).max())
     if abs(c) <= floor:
         raise NoDelayFound("transfer function is numerically zero")
@@ -161,9 +172,10 @@ def synthesis_filters(h0, h1) -> tuple[np.ndarray, np.ndarray]:
 def _block_geometry(tail: int) -> tuple[int, int, int]:
     """(size, hop, rows) of `process_bank`'s overlap-add blocks for a chain whose
     impulse response has tail + 1 taps: the FFT size, a power of two; the hop,
-    size - tail rounded down to even; and the blocks per batch, about 0.5 MB per
-    complex buffer and per real (rows, size) buffer, which holds a batch's FFT
-    input and then its inverse FFT, so that a batch stays in a 2 MB L2 cache."""
+    size - tail rounded down to even; and the blocks per batch, about 0.5 MB in
+    each of the three buffers, two complex and one real (rows, size), which holds
+    a batch's FFT input and then its inverse FFT, so that a batch stays in a 2 MB
+    L2 cache."""
     # hop > tail, so a block's tail spills into the next block only
     size = max(1024, 1 << (2 * tail + 2).bit_length())
     if size // 2 + 1 > GRID_SIZE_MAX:  # the block grid's cap: blocks of 2^20 samples at most
@@ -178,20 +190,26 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     two, set by the filter lengths alone (`_block_geometry`). Blocks start at
     even samples, so down-sampling by 2 and then up-sampling by 2, which zeroes
     the odd samples, is the spectral fold V = (S + conj(S[::-1])) / 2 on each
-    block. H0, H1 and the `synthesis_filters` pair F0, F1 are evaluated by
-    `poly.grid_response` on the block grid of size // 2 + 1 points. Blocks run
-    in batches through spectral and output buffers allocated once per call.
-    Each batch is copied into the real buffer's rows, zeroed past `hop`, and
-    the forward FFT reads those full-length rows: given rows of `hop` samples
-    and `n=size`, NumPy 2.4 pads each row itself on a slower path, for the same
+    block. Summed over both channels, a block's output spectrum is then
+    Y = A X + B conj(X[::-1]): the distortion A = (F0 H0 + F1 H1) / 2 and the
+    alias B = (F0 conj(H0[::-1]) + F1 conj(H1[::-1])) / 2 are computed once per
+    call from H0, H1 and the `synthesis_filters` pair F0, F1, evaluated by
+    `poly.grid_response` on the block grid of size // 2 + 1 points. B is kept,
+    so a pair that does not cancel its alias aliases here too. Blocks run in
+    batches through two complex buffers and one real buffer, allocated once per
+    call: R = conj(X[::-1]), X *= A, R *= B, X += R, four passes per batch.
+    Each batch is copied into the real buffer's rows, zeroed past `hop`, and the
+    forward FFT reads those full-length rows: given rows of `hop` samples and
+    `n=size`, NumPy 2.4 pads each row itself on a slower path, for the same
     bits. Each block's head is written to `y` and its tail carried into the next
     block. `y` has len(x) + len(h0) + len(h1) - 2 samples and agrees with direct
-    convolution to round-off. A complex or non-finite sample, or a tail past
-    `_block_geometry`'s cap, raises ValueError before any output. The report
-    scores the reconstruction only when `max_rel_error` is first read.
+    convolution to round-off. A sample that is not an int or float, a
+    non-finite sample, or a tail past `_block_geometry`'s cap raises ValueError
+    before any output. The report scores the reconstruction only when
+    `max_rel_error` is first read.
     """
     x = np.atleast_1d(np.asarray(x))
-    if x.dtype.kind == "c":  # a cast to float would drop the imaginary part with a warning
+    if x.dtype.kind not in "iuf":  # True, "0.5" and 1j are not reals, though astype(float) casts them
         raise ValueError("signal samples must be real")
     x = x.astype(float, copy=False)
     if x.ndim != 1 or x.size < 1:
@@ -207,8 +225,11 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     # the synthesis pair times the fold's 1/2 (exact), and all four spectra on the block grid
     f0, f1 = (0.5 * f for f in synthesis_filters(bank.h0, bank.h1))
     H0, H1, F0, F1 = (poly.grid_response(h, size // 2 + 1) for h in (bank.h0, bank.h1, f0, f1))
-    # reused by every batch; the fold reverses into R, as in place forces a copy
-    X, S, R = np.empty((3, rows, size // 2 + 1), complex)
+    # distortion and alias: on the block grid, conj(H[::-1]) is H(w + pi)
+    A = F0 * H0 + F1 * H1
+    B = F0 * np.conj(H0[::-1]) + F1 * np.conj(H1[::-1])
+    # reused by every batch; X reverses into R, as in place forces a copy
+    X, R = np.empty((2, rows, size // 2 + 1), complex)
     yb = np.empty((rows, size))
     carry = np.zeros(tail)
     for b in range(0, blocks, rows):
@@ -225,13 +246,11 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
             yb[q, :rem] = seg[q * hop :]
             yb[q, rem:] = 0.0
         np.fft.rfft(yb[:r], out=X[:r])
-        for H, F, V in ((H0, F0, S[:r]), (H1, F1, X[:r])):
-            np.multiply(X[:r], H, out=V)
-            np.conjugate(V[:, ::-1], out=R[:r])
-            np.add(V, R[:r], out=V)
-            np.multiply(F, V, out=V)
-        np.add(S[:r], X[:r], out=S[:r])
-        np.fft.irfft(S[:r], size, out=yb[:r])
+        np.conjugate(X[:r, ::-1], out=R[:r])
+        np.multiply(X[:r], A, out=X[:r])
+        np.multiply(R[:r], B, out=R[:r])
+        np.add(X[:r], R[:r], out=X[:r])
+        np.fft.irfft(X[:r], size, out=yb[:r])
         ys[b : b + r] = yb[:r, :hop]
         ys[b, :tail] += carry
         ys[b + 1 : b + r, :tail] += yb[: r - 1, hop : hop + tail]

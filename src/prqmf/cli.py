@@ -51,12 +51,14 @@ def bank_to_dict(bank: analysis.FilterBank) -> dict:
     written for outside readers and ignored by `load_bank`."""
     spec = bank.spec
     f0, f1 = analysis.synthesis_filters(bank.h0, bank.h1)
+    # int() and float(): a spec may hold NumPy scalars, which json cannot write
+    param = None if spec is None or spec.window.param is None else float(spec.window.param)
     return {
         "format_version": FORMAT_VERSION,
-        "n": spec.n if spec else (len(bank.h0) - 1) // 2,
-        "m": spec.m if spec else 0,
-        "edges": {"wp": spec.edges.wp, "ws": spec.edges.ws} if spec else None,
-        "window": {"kind": spec.window.kind, "param": spec.window.param} if spec else None,
+        "n": int(spec.n) if spec else (len(bank.h0) - 1) // 2,
+        "m": int(spec.m) if spec else 0,
+        "edges": {"wp": float(spec.edges.wp), "ws": float(spec.edges.ws)} if spec else None,
+        "window": {"kind": spec.window.kind, "param": param} if spec else None,
         "h0": bank.h0.tolist(),
         "h1": bank.h1.tolist(),
         "f0": f0.tolist(),
@@ -68,8 +70,9 @@ def bank_to_dict(bank: analysis.FilterBank) -> dict:
 
 
 def save_bank(bank: analysis.FilterBank, path: str) -> None:
+    text = json.dumps(bank_to_dict(bank), indent=2) + "\n"  # first, so a failure writes no file
     with open(path, "w") as fh:
-        fh.write(json.dumps(bank_to_dict(bank), indent=2) + "\n")
+        fh.write(text)
 
 
 def load_bank(path: str) -> analysis.FilterBank:

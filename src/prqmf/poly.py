@@ -19,7 +19,7 @@ SYMMETRY_RTOL = 1e-12
 def as_poly(coeffs) -> np.ndarray:
     """Validate and coerce a coefficient sequence to a 1-D float array."""
     p = np.asarray(coeffs)
-    if p.dtype.kind == "c":  # a cast to float would drop the imaginary part with a warning
+    if p.dtype.kind not in "iuf":  # True, "0.5" and 1j are not reals, though astype(float) casts them
         raise ValueError("polynomial coefficients must be real")
     p = p.astype(float, copy=False)
     if p.ndim != 1 or p.size < 1:

@@ -188,6 +188,14 @@ class TestProcessBank:
         with pytest.raises(ValueError, match="signal samples must be real"):
             process_bank(bank10, x)
 
+    @pytest.mark.parametrize(
+        "x", [["1.0", "2.0"], [True, False], np.ones(64, bool)], ids=["str", "bool-list", "bool-array"]
+    )
+    def test_non_numbers_rejected(self, bank10, x):
+        # a real is an int or a float; a cast to float would read "1.0" and True as numbers
+        with pytest.raises(ValueError, match="signal samples must be real"):
+            process_bank(bank10, x)
+
     def test_block_grid_above_its_cap_rejected(self):
         # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points; 524,286 is the most
         h0 = np.zeros(524_288)
@@ -285,7 +293,7 @@ def draw_bank(data, rng, stream_banks):
 
 
 def allocating_process_bank(bank, x):
-    """process_bank with fresh FFT outputs and fold temporaries for every batch,
+    """process_bank with fresh FFT outputs and spectral temporaries for every batch,
     a zero-filled staging array that heads and tails are added into, and the
     steady state scored in one pass after the loop. The reused buffers, written
     heads, carried tails and the report's lazy score must give the same bits:
@@ -299,13 +307,14 @@ def allocating_process_bank(bank, x):
     ys = np.zeros((blocks + 1, hop))
     H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
     F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
+    A = F0 * H0 + F1 * H1  # distortion
+    B = F0 * np.conj(H0[::-1]) + F1 * np.conj(H1[::-1])  # alias
     for b in range(0, blocks, rows):
         seg = x[b * hop : (b + rows) * hop]
         xb = np.zeros((min(rows, blocks - b), hop))
         xb.reshape(-1)[: seg.size] = seg
         X = np.fft.rfft(xb, size)
-        S0, S1 = X * H0, X * H1
-        Y = F0 * (S0 + np.conj(S0[:, ::-1])) + F1 * (S1 + np.conj(S1[:, ::-1]))
+        Y = X * A + np.conj(X[:, ::-1]) * B
         yb = np.fft.irfft(Y, size)
         ys[b : b + len(yb)] += yb[:, :hop]
         ys[b + 1 : b + len(yb) + 1, :tail] += yb[:, hop : hop + tail]

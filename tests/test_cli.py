@@ -451,6 +451,30 @@ class TestBankFile:
         save_bank(load_bank(str(p1)), str(p2))
         assert json.loads(p1.read_text())["h0"] == json.loads(p2.read_text())["h0"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DesignSpec(n=4, edges=BandEdges(np.int64(1), np.int64(2))),
+            DesignSpec(n=np.int64(10), window=WindowSpec("kaiser", np.float32(4)), m=np.int64(1)),
+        ],
+        ids=["int64-edges", "int64-n-m-float32-beta"],
+    )
+    def test_numpy_scalar_spec_round_trips(self, tmp_path, spec):
+        # json writes no NumPy scalar: bank_to_dict converts the spec's numbers
+        bank = design_bank(spec)
+        path = tmp_path / "bank.json"
+        save_bank(bank, str(path))
+        loaded = load_bank(str(path))
+        assert loaded.spec == spec
+        assert np.array_equal(loaded.h0, bank.h0) and np.array_equal(loaded.h1, bank.h1)
+
+    def test_failed_save_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "bank_to_dict", lambda bank: {"h0": object()})
+        path = tmp_path / "bank.json"
+        with pytest.raises(TypeError):
+            save_bank(design_bank(DesignSpec(n=4)), str(path))
+        assert not path.exists()
+
     def test_wrong_version_rejected(self, tmp_path):
         bank = design_bank(DesignSpec(n=4))
         doc = bank_to_dict(bank)

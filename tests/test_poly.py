@@ -130,6 +130,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="polynomial coefficients must be real"):
             poly.as_poly(taps)
 
+    @pytest.mark.parametrize(
+        "taps",
+        [["1.0", "2.0", "1.0"], [True, False, True], np.array([1.0, 2.0], object)],
+        ids=["str", "bool", "object"],
+    )
+    def test_rejects_non_numbers(self, taps):
+        # a real is an int or a float; a cast to float would read "1.0" and True as numbers
+        with pytest.raises(ValueError, match="polynomial coefficients must be real"):
+            poly.as_poly(taps)
+
     def test_symmetry_check(self):
         assert poly._symmetric(np.array([1.0, 2.0, 1.0]))
         for asymmetric in ([1.0, 2.0], [1.0, 2.0, 1.1]):
