@@ -173,7 +173,7 @@ def _block_geometry(tail: int) -> tuple[int, int, int]:
     """(size, hop, rows) of `process_bank`'s overlap-add blocks for a chain whose
     impulse response has tail + 1 taps: the FFT size, a power of two; the hop,
     size - tail rounded down to even; and the blocks per batch, about 0.5 MB in
-    each of the three buffers, two complex and one real (rows, size), which holds
+    each of the two buffers, one complex and one real (rows, size), which holds
     a batch's FFT input and then its inverse FFT, so that a batch stays in a 2 MB
     L2 cache."""
     # hop > tail, so a block's tail spills into the next block only
@@ -186,32 +186,22 @@ def _block_geometry(tail: int) -> tuple[int, int, int]:
 def process_bank(bank: FilterBank, x) -> ProcessReport:
     """Run a signal through the full analyze / down-up sample / synthesize chain.
 
-    The chain runs as overlap-add on FFT blocks of `size` samples, a power of
-    two, set by the filter lengths alone (`_block_geometry`). Blocks start at
-    even samples, so down-sampling by 2 and then up-sampling by 2, which zeroes
-    the odd samples, is the spectral fold V = (S + conj(S[::-1])) / 2 on each
-    block. Summed over both channels, a block's output spectrum is then
-    Y = A X + B conj(X[::-1]): the distortion A = (F0 H0 + F1 H1) / 2 and the
-    alias B = (F0 conj(H0[::-1]) + F1 conj(H1[::-1])) / 2 are computed once per
-    call from H0, H1 and the `synthesis_filters` pair F0, F1, evaluated by
-    `poly.grid_response` on the block grid of size // 2 + 1 points. B is kept,
-    so a pair that does not cancel its alias aliases here too. Blocks run in
-    batches through two complex buffers and one real buffer, allocated once per
-    call: R = conj(X[::-1]), X *= A, R *= B, X += R, four passes per batch.
-    Each batch is copied into the real buffer's rows, zeroed past `hop`, and the
-    forward FFT reads those full-length rows: given rows of `hop` samples and
-    `n=size`, NumPy 2.4 pads each row itself on a slower path, for the same
-    bits. Each block's head is written to `y` and its tail carried into the next
-    block. `y` has len(x) + len(h0) + len(h1) - 2 samples and agrees with direct
-    convolution to round-off. A sample that is not an int or float, a
-    non-finite sample, or a tail past `_block_geometry`'s cap raises ValueError
-    before any output. The report scores the reconstruction only when
-    `max_rel_error` is first read.
+    The synthesis pair F0(z) = H1(-z), F1(z) = -H0(-z) makes the alias term
+    F0(z) H0(-z) + F1(z) H1(-z) zero for any H0 and H1, PR or not, so the chain
+    is y = t * x, with t the `transfer` that the certificate reads. It runs as
+    overlap-add on FFT blocks of `size` samples, a power of two set by the
+    filter lengths alone (`_block_geometry`), with T on the block grid of
+    size // 2 + 1 points (`poly.grid_response`). Each batch is copied into the
+    real buffer's rows, zeroed past `hop`, then rfft, X *= T, irfft: given rows
+    of `hop` samples and `n=size`, NumPy 2.4 pads each row itself on a slower
+    path, for the same bits. Each block's head is written to `y` and its tail
+    carried into the next block. `y` has len(x) + len(h0) + len(h1) - 2 samples
+    and agrees with direct convolution to round-off. A sample that is not an int
+    or float, a non-finite sample, or a tail past `_block_geometry`'s cap raises
+    ValueError before any output. The report scores the reconstruction only
+    when `max_rel_error` is first read.
     """
-    x = np.atleast_1d(np.asarray(x))
-    if x.dtype.kind not in "iuf":  # True, "0.5" and 1j are not reals, though astype(float) casts them
-        raise ValueError("signal samples must be real")
-    x = x.astype(float, copy=False)
+    x = np.atleast_1d(poly._as_reals(x, "signal samples"))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("signal must be a nonempty 1-D sequence")
     bank.certificate  # the report's delay and scale: NoDelayFound is raised before any output
@@ -222,14 +212,8 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
     # every element is written: the blocks' heads, then the last tail
     y = np.empty(blocks * hop + tail)
     ys = y[: blocks * hop].reshape(blocks, hop)
-    # the synthesis pair times the fold's 1/2 (exact), and all four spectra on the block grid
-    f0, f1 = (0.5 * f for f in synthesis_filters(bank.h0, bank.h1))
-    H0, H1, F0, F1 = (poly.grid_response(h, size // 2 + 1) for h in (bank.h0, bank.h1, f0, f1))
-    # distortion and alias: on the block grid, conj(H[::-1]) is H(w + pi)
-    A = F0 * H0 + F1 * H1
-    B = F0 * np.conj(H0[::-1]) + F1 * np.conj(H1[::-1])
-    # reused by every batch; X reverses into R, as in place forces a copy
-    X, R = np.empty((2, rows, size // 2 + 1), complex)
+    T = poly.grid_response(_transfer(bank.h0, bank.h1), size // 2 + 1)
+    X = np.empty((rows, size // 2 + 1), complex)  # reused by every batch, as is yb
     yb = np.empty((rows, size))
     carry = np.zeros(tail)
     for b in range(0, blocks, rows):
@@ -246,10 +230,7 @@ def process_bank(bank: FilterBank, x) -> ProcessReport:
             yb[q, :rem] = seg[q * hop :]
             yb[q, rem:] = 0.0
         np.fft.rfft(yb[:r], out=X[:r])
-        np.conjugate(X[:r, ::-1], out=R[:r])
-        np.multiply(X[:r], A, out=X[:r])
-        np.multiply(R[:r], B, out=R[:r])
-        np.add(X[:r], R[:r], out=X[:r])
+        np.multiply(X[:r], T, out=X[:r])
         np.fft.irfft(X[:r], size, out=yb[:r])
         ys[b : b + r] = yb[:r, :hop]
         ys[b, :tail] += carry

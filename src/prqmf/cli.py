@@ -106,7 +106,7 @@ def load_bank(path: str) -> analysis.FilterBank:
         elif zeros:
             raise ValueError("zero_freqs need the design's edges and window")
         return analysis.FilterBank(h0, h1, spec)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise BankFileError(f"cannot load bank file {path}: {exc}") from exc
 
 

@@ -16,12 +16,27 @@ from .prototype import GRID_SIZE_MAX, _check_integer
 SYMMETRY_RTOL = 1e-12
 
 
+def _as_reals(values, what: str) -> np.ndarray:
+    """`values` as floats if each is an int or a float, NumPy scalars included (True,
+    "0.5" and 1j are not reals, though astype(float) casts them); `what` names them in
+    the ValueError. NumPy holds a sequence with an int of 2^64 or more as objects, read
+    here one by one; an object array passed in is not read."""
+    a = np.asarray(values)
+    if a.dtype == object and not isinstance(values, np.ndarray):
+        reals = (int, float, np.integer, np.floating)
+        if all(isinstance(v, reals) and not isinstance(v, bool) for v in a.flat):
+            try:
+                return a.astype(float)
+            except OverflowError:  # an int past the largest float
+                raise ValueError(f"{what} must be finite") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real")
+    return a.astype(float, copy=False)
+
+
 def as_poly(coeffs) -> np.ndarray:
     """Validate and coerce a coefficient sequence to a 1-D float array."""
-    p = np.asarray(coeffs)
-    if p.dtype.kind not in "iuf":  # True, "0.5" and 1j are not reals, though astype(float) casts them
-        raise ValueError("polynomial coefficients must be real")
-    p = p.astype(float, copy=False)
+    p = _as_reals(coeffs, "polynomial coefficients")
     if p.ndim != 1 or p.size < 1:
         raise ValueError("polynomial must be a 1-D sequence of at least one coefficient")
     if not np.isfinite(p).all():

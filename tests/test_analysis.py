@@ -196,6 +196,15 @@ class TestProcessBank:
         with pytest.raises(ValueError, match="signal samples must be real"):
             process_bank(bank10, x)
 
+    def test_integer_samples_of_2_to_the_64_or_more_accepted(self, bank10):
+        x = [10**30] + [1] * 63
+        report = process_bank(bank10, x)
+        assert np.array_equal(report.y, process_bank(bank10, np.array(x, float)).y)
+
+    def test_integer_sample_past_the_largest_float_is_not_finite(self, bank10):
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            process_bank(bank10, [10**400] + [1] * 63)
+
     def test_block_grid_above_its_cap_rejected(self):
         # tail 524,287 needs 2^21-sample blocks, a grid of 2^20 + 1 points; 524,286 is the most
         h0 = np.zeros(524_288)
@@ -293,28 +302,28 @@ def draw_bank(data, rng, stream_banks):
 
 
 def allocating_process_bank(bank, x):
-    """process_bank with fresh FFT outputs and spectral temporaries for every batch,
-    a zero-filled staging array that heads and tails are added into, and the
-    steady state scored in one pass after the loop. The reused buffers, written
-    heads, carried tails and the report's lazy score must give the same bits:
-    (y, max_rel_error). They can, as IEEE addition commutes and 0 + t == t (up to
-    the sign of a zero result)."""
+    """process_bank with fresh FFT outputs and products for every batch, a
+    zero-filled staging array that heads and tails are added into, and the steady
+    state scored in one pass after the loop. Each block is filtered by T(z), the
+    odd part of H0(z) H1(-z), computed here from the taps. The reused buffers,
+    written heads, carried tails and the report's lazy score must give the same
+    bits: (y, max_rel_error). They can, as IEEE addition commutes and 0 + t == t
+    (up to the sign of a zero result)."""
     x = np.asarray(x, dtype=float)
     d, c = bank.delay, bank.scale
     tail = bank.h0.size + bank.h1.size - 2
     size, hop, rows = _block_geometry(tail)
     blocks = -(-x.size // hop)
     ys = np.zeros((blocks + 1, hop))
-    H0, H1 = (np.fft.rfft(h, size) for h in (bank.h0, bank.h1))
-    F0, F1 = 0.5 * np.conj(H1[::-1]), -0.5 * np.conj(H0[::-1])
-    A = F0 * H0 + F1 * H1  # distortion
-    B = F0 * np.conj(H0[::-1]) + F1 * np.conj(H1[::-1])  # alias
+    t = np.convolve(bank.h0, bank.h1 * (-1.0) ** np.arange(bank.h1.size))
+    t[::2] = 0.0
+    T = np.fft.rfft(t, size)
     for b in range(0, blocks, rows):
         seg = x[b * hop : (b + rows) * hop]
         xb = np.zeros((min(rows, blocks - b), hop))
         xb.reshape(-1)[: seg.size] = seg
         X = np.fft.rfft(xb, size)
-        Y = X * A + np.conj(X[:, ::-1]) * B
+        Y = X * T
         yb = np.fft.irfft(Y, size)
         ys[b : b + len(yb)] += yb[:, :hop]
         ys[b + 1 : b + len(yb) + 1, :tail] += yb[:, hop : hop + tail]

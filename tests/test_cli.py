@@ -504,6 +504,29 @@ class TestBankFile:
         assert_one_error_line(err, "BankFileError")
         assert "wp must be a real number, got True" in err
 
+    def test_deeply_nested_file_rejected(self, tmp_path, capsys):
+        # json's decoder meets the recursion limit: a format error, not a traceback
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["verify", str(path)]) == 3
+        assert_one_error_line(capsys.readouterr().err, "BankFileError")
+
+    def test_integer_tap_of_2_to_the_64_or_more_loads(self, tmp_path):
+        # json reads it as a Python int, which NumPy holds only as an object
+        doc = json.loads(pristine_json(1))
+        doc["h0"][0] = 10**30
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(doc))
+        assert load_bank(str(path)).h0[0] == 1e30
+
+    def test_integer_tap_past_the_largest_float_rejected(self, tmp_path):
+        doc = json.loads(pristine_json(1))
+        doc["h0"][0] = 10**400
+        rc, err = run_on_doc(tmp_path, doc, "verify")
+        assert rc == 3
+        assert_one_error_line(err, "BankFileError")
+        assert "polynomial coefficients must be finite" in err
+
 
 # Per command, the arguments after the bank file; `process` reads x.csv.
 COMMAND_ARGS = {

@@ -124,7 +124,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             poly.as_poly([math.inf])
 
-    @pytest.mark.parametrize("taps", [[1 + 1j], np.array([1 + 1j]), np.array([1.0], complex)])
+    @pytest.mark.parametrize(
+        "taps", [[1 + 1j], np.array([1 + 1j]), np.array([1.0], complex), [10**30, 1j]]
+    )
     def test_rejects_complex(self, taps):
         # not cast to float, which would drop the imaginary part
         with pytest.raises(ValueError, match="polynomial coefficients must be real"):
@@ -132,13 +134,33 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "taps",
-        [["1.0", "2.0", "1.0"], [True, False, True], np.array([1.0, 2.0], object)],
-        ids=["str", "bool", "object"],
+        [
+            ["1.0", "2.0", "1.0"],
+            [True, False, True],
+            np.array([1.0, 2.0], object),
+            [10**30, "1.0"],
+            [10**30, True],
+            [10**30, None],
+            [10**30, np.True_],
+        ],
+        ids=[
+            "str", "bool", "object",
+            "big-int-and-str", "big-int-and-bool", "big-int-and-none", "big-int-and-numpy-bool",
+        ],
     )
     def test_rejects_non_numbers(self, taps):
         # a real is an int or a float; a cast to float would read "1.0" and True as numbers
         with pytest.raises(ValueError, match="polynomial coefficients must be real"):
             poly.as_poly(taps)
+
+    def test_integers_of_2_to_the_64_or_more_accepted(self):
+        # NumPy holds such an int only as an object; each element is still an int
+        p = poly.as_poly([10**30, 1, -(2**64), 0.5, np.int64(2), np.float32(0.25)])
+        assert p.dtype == float and p.tolist() == [1e30, 1.0, -(2.0**64), 0.5, 2.0, 0.25]
+
+    def test_integer_past_the_largest_float_is_not_finite(self):
+        with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+            poly.as_poly([10**400, 1])
 
     def test_symmetry_check(self):
         assert poly._symmetric(np.array([1.0, 2.0, 1.0]))
